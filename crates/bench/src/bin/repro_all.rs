@@ -1,6 +1,6 @@
 //! Regenerates every table and figure of the paper's evaluation in one run,
-//! and writes a machine-readable `BENCH_results.json` so the repository's
-//! performance trajectory can be tracked across commits.
+//! runs the `server_overload` hostile-client scenario, and writes a
+//! machine-readable `BENCH_results.json` of what ran.
 //!
 //! Usage:
 //! ```text
@@ -13,30 +13,19 @@
 //!
 //! The JSON report contains a `host` block (so timings from heterogeneous
 //! runners stay interpretable), the wall-clock seconds of each experiment,
-//! the warm/cold `query_stream` engine-session rows, the
-//! `query_stream_concurrent` shared-vs-private multi-session rows, the
-//! `planner` Auto-vs-best-fixed rows, the `server_throughput` loopback-TCP
-//! serving rows, the `server_overload` hostile-mix isolation rows, the
-//! `server_soak` open-loop 1k-connection event-loop soak rows, the
-//! `router_throughput` sharded-fleet merge rows, the
-//! `trace_overhead` span-recording-cost rows, the
-//! `graph_load` binary-container-vs-text-parse rows (each
-//! block with a `"parity"` flag the `bench_check` CI gate enforces), and a
-//! walk-engine ablation (dense-serial seed path vs
-//! sparse-serial vs sparse multi-threaded) on the Figure 9 two-way Yeast
-//! workload.
+//! the `server_overload` hostile-mix isolation block, and a walk-engine
+//! ablation (dense-serial seed path vs sparse-serial vs sparse
+//! multi-threaded) on the Figure 9 two-way Yeast workload.
+//!
+//! The run gates itself: the process exits non-zero when `server_overload`
+//! loses bit-exactness or isolation (see [`exit_status`]), so CI needs no
+//! separate checker.  Performance is gated elsewhere — `benchmark compare`
+//! with per-metric bounds (see `benchmark/README.md`).
 
 use std::fmt::Write as _;
+use std::process::ExitCode;
 
-use dht_bench::experiments::graph_load::{self, GraphLoadResult};
-use dht_bench::experiments::planner::{self, PlannerResult};
-use dht_bench::experiments::query_stream::{self, QueryStreamResult};
-use dht_bench::experiments::query_stream_concurrent::{self, QueryStreamConcurrentResult};
-use dht_bench::experiments::router_throughput::{self, RouterThroughputResult};
 use dht_bench::experiments::server_overload::{self, ServerOverloadResult};
-use dht_bench::experiments::server_soak::{self, ServerSoakResult};
-use dht_bench::experiments::server_throughput::{self, ServerThroughputResult};
-use dht_bench::experiments::trace_overhead::{self, TraceOverheadResult};
 use dht_bench::{timing, workloads};
 use dht_core::twoway::{TwoWayAlgorithm, TwoWayConfig};
 use dht_datasets::Scale;
@@ -66,7 +55,14 @@ fn scale_from_args() -> Scale {
     dht_bench::scale_from_env()
 }
 
-fn main() {
+/// The process exit status: `0` only when every well-behaved
+/// `server_overload` answer was bit-identical to the in-process one **and**
+/// no well-behaved connection saw `ERR QUOTA` / `ERR DEADLINE`.
+fn exit_status(bitwise: bool, isolated: bool) -> u8 {
+    u8::from(!(bitwise && isolated))
+}
+
+fn main() -> ExitCode {
     let scale = scale_from_args();
     eprintln!("running all experiments at scale '{}'", scale.name());
 
@@ -88,60 +84,8 @@ fn main() {
         timings.push((name.to_string(), elapsed.as_secs_f64()));
     }
 
-    // The engine-session experiment also feeds its own JSON block, so it is
+    // The overload scenario also feeds its own JSON block, so it is
     // measured once and reported from the result.
-    let (stream, elapsed) = timing::time(|| query_stream::measure(scale));
-    eprintln!(
-        "query_stream: {} queries, cold {:.4} s, warm {:.4} s ({:.2}x, {:.1}% hit rate)",
-        stream.queries,
-        stream.cold_seconds,
-        stream.warm_seconds,
-        stream.speedup(),
-        100.0 * stream.warm_hit_rate
-    );
-    timings.push(("query_stream".to_string(), elapsed.as_secs_f64()));
-
-    let (concurrent, elapsed) = timing::time(|| query_stream_concurrent::measure(scale));
-    for row in &concurrent.rows {
-        eprintln!(
-            "query_stream_concurrent: {} sessions, shared {:.4} s, private {:.4} s \
-             ({:.2}x, {:.1}% shared hit rate)",
-            row.sessions,
-            row.shared_seconds,
-            row.private_seconds,
-            row.speedup(),
-            100.0 * row.shared_hit_rate
-        );
-    }
-    timings.push(("query_stream_concurrent".to_string(), elapsed.as_secs_f64()));
-
-    let (planner, elapsed) = timing::time(|| planner::measure(scale));
-    eprintln!(
-        "planner: {} queries, auto {:.4} s vs best fixed {} {:.4} s ({:.2}x); plans: {}",
-        planner.queries,
-        planner.auto_seconds,
-        planner.best_fixed().algorithm.name(),
-        planner.best_fixed().seconds,
-        planner.auto_vs_best(),
-        planner.chosen.join(", ")
-    );
-    timings.push(("planner".to_string(), elapsed.as_secs_f64()));
-
-    let (serving, elapsed) = timing::time(|| server_throughput::measure(scale));
-    eprintln!(
-        "server_throughput: {} conns x {} reqs on {} workers, {:.4} s \
-         ({:.1} req/s, p99 {:.4} ms, {} busy, parity {})",
-        serving.connections,
-        serving.requests_per_connection,
-        serving.workers,
-        serving.seconds,
-        serving.throughput(),
-        serving.p99_ms,
-        serving.busy_rejections,
-        serving.parity
-    );
-    timings.push(("server_throughput".to_string(), elapsed.as_secs_f64()));
-
     let (overload, elapsed) = timing::time(|| server_overload::measure(scale));
     eprintln!(
         "server_overload: {} conns x {} reqs vs {} hostile on {} workers, {:.4} s \
@@ -158,86 +102,23 @@ fn main() {
     );
     timings.push(("server_overload".to_string(), elapsed.as_secs_f64()));
 
-    let (soak, elapsed) = timing::time(|| server_soak::measure(scale));
-    eprintln!(
-        "server_soak: {} conns soaking {:.1} s (window {}) on {} workers, {:.4} s \
-         ({:.1} req/s sustained, p99 {:.4} ms, {} busy, parity {})",
-        soak.connections,
-        soak.duration_seconds,
-        soak.window,
-        soak.workers,
-        soak.seconds,
-        soak.throughput(),
-        soak.p99_ms,
-        soak.busy_rejections,
-        soak.parity
-    );
-    timings.push(("server_soak".to_string(), elapsed.as_secs_f64()));
-
-    let (router, elapsed) = timing::time(|| router_throughput::measure(scale));
-    eprintln!(
-        "router_throughput: {} conns x {} reqs through {} backends, {:.4} s \
-         ({:.1} req/s, p99 {:.4} ms, {} fanned out, {} whole, parity {})",
-        router.connections,
-        router.requests_per_connection,
-        router.backends,
-        router.seconds,
-        router.throughput(),
-        router.p99_ms,
-        router.fanned_out,
-        router.whole_routed,
-        router.parity
-    );
-    timings.push(("router_throughput".to_string(), elapsed.as_secs_f64()));
-
-    let (trace, elapsed) = timing::time(|| trace_overhead::measure(scale));
-    eprintln!(
-        "trace_overhead: {} cache-hot queries, off {:.4} s vs on {:.4} s \
-         ({:+.2}% gated overhead, {:+.2}% median, bitwise {}, {} spans)",
-        trace.queries,
-        trace.plain_seconds,
-        trace.traced_seconds,
-        100.0 * trace.overhead(),
-        100.0 * trace.overhead_median,
-        trace.bitwise,
-        trace.spans
-    );
-    timings.push(("trace_overhead".to_string(), elapsed.as_secs_f64()));
-
-    let (load, elapsed) = timing::time(|| graph_load::measure(scale));
-    eprintln!(
-        "graph_load: {} nodes, {} edges, text {:.4} s vs binary {:.4} s \
-         ({:.1}x), cold sweep {:.3e} edge-traversals/s, parity {}",
-        load.nodes,
-        load.edges,
-        load.text_load_seconds,
-        load.binary_load_seconds,
-        load.load_speedup(),
-        load.sweep_edge_rate,
-        load.parity
-    );
-    timings.push(("graph_load".to_string(), elapsed.as_secs_f64()));
-
     let ablation = engine_ablation(scale);
-    let json = render_json(
-        scale,
-        &timings,
-        &stream,
-        &concurrent,
-        &planner,
-        &serving,
-        &overload,
-        &soak,
-        &router,
-        &trace,
-        &load,
-        &ablation,
-    );
+    let json = render_json(scale, &timings, &overload, &ablation);
     let path = "BENCH_results.json";
     match std::fs::write(path, &json) {
         Ok(()) => eprintln!("wrote {path}"),
         Err(err) => eprintln!("could not write {path}: {err}"),
     }
+
+    let status = exit_status(overload.bitwise, overload.isolated());
+    if status != 0 {
+        eprintln!(
+            "FAILED: server_overload bitwise {} / isolated {}",
+            overload.bitwise,
+            overload.isolated()
+        );
+    }
+    ExitCode::from(status)
 }
 
 /// One measured configuration of the walk-engine ablation.
@@ -290,19 +171,10 @@ fn engine_ablation(scale: Scale) -> Vec<AblationRow> {
 /// Hand-rolled JSON rendering (the workspace is dependency-free); all
 /// strings written here are plain ASCII identifiers, so no escaping is
 /// needed.
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     scale: Scale,
     timings: &[(String, f64)],
-    stream: &QueryStreamResult,
-    concurrent: &QueryStreamConcurrentResult,
-    planner: &PlannerResult,
-    serving: &ServerThroughputResult,
     overload: &ServerOverloadResult,
-    soak: &ServerSoakResult,
-    router: &RouterThroughputResult,
-    trace: &TraceOverheadResult,
-    load: &GraphLoadResult,
     ablation: &[AblationRow],
 ) -> String {
     let mut out = String::from("{\n");
@@ -323,84 +195,6 @@ fn render_json(
         );
     }
     out.push_str("  ],\n");
-    out.push_str("  \"query_stream\": {\n");
-    out.push_str("    \"workload\": \"yeast_repeated_target_twoway\",\n");
-    let _ = writeln!(out, "    \"queries\": {},", stream.queries);
-    let _ = writeln!(out, "    \"cold_seconds\": {:.6},", stream.cold_seconds);
-    let _ = writeln!(out, "    \"warm_seconds\": {:.6},", stream.warm_seconds);
-    let _ = writeln!(out, "    \"speedup\": {:.3},", stream.speedup());
-    let _ = writeln!(out, "    \"warm_hit_rate\": {:.4},", stream.warm_hit_rate);
-    // `measure` asserts warm ≡ cold bitwise, so reaching this line means
-    // the parity contract held for this run.
-    out.push_str("    \"parity\": true\n");
-    out.push_str("  },\n");
-    out.push_str("  \"query_stream_concurrent\": {\n");
-    out.push_str("    \"workload\": \"yeast_mixed_stream_sessions\",\n");
-    let _ = writeln!(out, "    \"queries\": {},", concurrent.queries);
-    out.push_str("    \"rows\": [\n");
-    for (i, row) in concurrent.rows.iter().enumerate() {
-        let comma = if i + 1 < concurrent.rows.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "      {{\"sessions\": {}, \"shared_seconds\": {:.6}, \
-             \"private_seconds\": {:.6}, \"shared_hit_rate\": {:.4}, \
-             \"parity\": {}}}{comma}",
-            row.sessions, row.shared_seconds, row.private_seconds, row.shared_hit_rate, row.parity
-        );
-    }
-    out.push_str("    ]\n  },\n");
-    out.push_str("  \"planner\": {\n");
-    out.push_str("    \"workload\": \"yeast_repeated_target_twoway_auto\",\n");
-    let _ = writeln!(out, "    \"queries\": {},", planner.queries);
-    let _ = writeln!(out, "    \"auto_seconds\": {:.6},", planner.auto_seconds);
-    let _ = writeln!(
-        out,
-        "    \"best_fixed\": \"{}\",",
-        planner.best_fixed().algorithm.name()
-    );
-    let _ = writeln!(
-        out,
-        "    \"best_fixed_seconds\": {:.6},",
-        planner.best_fixed().seconds
-    );
-    let _ = writeln!(out, "    \"auto_vs_best\": {:.3},", planner.auto_vs_best());
-    out.push_str("    \"fixed\": [\n");
-    for (i, row) in planner.fixed.iter().enumerate() {
-        let comma = if i + 1 < planner.fixed.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "      {{\"algorithm\": \"{}\", \"seconds\": {:.6}}}{comma}",
-            row.algorithm.name(),
-            row.seconds
-        );
-    }
-    out.push_str("    ],\n");
-    // `measure` asserts Auto ≡ its chosen algorithms bitwise, so reaching
-    // this line means the parity contract held for this run.
-    let _ = writeln!(out, "    \"parity\": {}", planner.parity);
-    out.push_str("  },\n");
-    out.push_str("  \"server_throughput\": {\n");
-    out.push_str("    \"workload\": \"yeast_loopback_tcp_closed_loop\",\n");
-    let _ = writeln!(out, "    \"connections\": {},", serving.connections);
-    let _ = writeln!(
-        out,
-        "    \"requests_per_connection\": {},",
-        serving.requests_per_connection
-    );
-    let _ = writeln!(out, "    \"workers\": {},", serving.workers);
-    let _ = writeln!(out, "    \"seconds\": {:.6},", serving.seconds);
-    let _ = writeln!(out, "    \"throughput_rps\": {:.3},", serving.throughput());
-    let _ = writeln!(out, "    \"p50_ms\": {:.4},", serving.p50_ms);
-    let _ = writeln!(out, "    \"p99_ms\": {:.4},", serving.p99_ms);
-    let _ = writeln!(out, "    \"busy_rejections\": {},", serving.busy_rejections);
-    // `measure` compares every wire response against the in-process
-    // answer; the flag is enforced by bench_check like the others.
-    let _ = writeln!(out, "    \"parity\": {}", serving.parity);
-    out.push_str("  },\n");
     out.push_str("  \"server_overload\": {\n");
     out.push_str("    \"workload\": \"yeast_loopback_tcp_hostile_mix\",\n");
     let _ = writeln!(out, "    \"connections\": {},", overload.connections);
@@ -436,97 +230,11 @@ fn render_json(
         overload.hostile_disconnects
     );
     // Throttling evidence is reported but not gated (load-dependent);
-    // the gated flag below is the isolation contract: bit-exact answers
-    // AND zero well-behaved quota/deadline errors under attack.
+    // the two flags below decide the exit status: bit-exact answers AND
+    // zero well-behaved quota/deadline errors under attack.
     let _ = writeln!(out, "    \"throttled\": {},", overload.throttled());
-    let _ = writeln!(out, "    \"parity\": {}", overload.isolated());
-    out.push_str("  },\n");
-    out.push_str("  \"server_soak\": {\n");
-    out.push_str("    \"workload\": \"yeast_loopback_tcp_open_loop_soak\",\n");
-    let _ = writeln!(out, "    \"connections\": {},", soak.connections);
-    let _ = writeln!(out, "    \"window\": {},", soak.window);
-    let _ = writeln!(out, "    \"workers\": {},", soak.workers);
-    let _ = writeln!(
-        out,
-        "    \"duration_seconds\": {:.3},",
-        soak.duration_seconds
-    );
-    let _ = writeln!(out, "    \"seconds\": {:.6},", soak.seconds);
-    let _ = writeln!(out, "    \"answered\": {},", soak.answered);
-    let _ = writeln!(out, "    \"throughput_rps\": {:.3},", soak.throughput());
-    let _ = writeln!(out, "    \"p50_ms\": {:.4},", soak.p50_ms);
-    let _ = writeln!(out, "    \"p99_ms\": {:.4},", soak.p99_ms);
-    let _ = writeln!(out, "    \"busy_rejections\": {},", soak.busy_rejections);
-    let _ = writeln!(out, "    \"quota_rejections\": {},", soak.quota_rejections);
-    let _ = writeln!(out, "    \"deadline_misses\": {},", soak.deadline_misses);
-    // Streaming parity at 1k+ event-loop connections AND zero
-    // well-behaved quota/deadline errors; gated by bench_check.
-    let _ = writeln!(out, "    \"parity\": {}", soak.parity);
-    out.push_str("  },\n");
-    out.push_str("  \"router_throughput\": {\n");
-    out.push_str("    \"workload\": \"yeast_sharded_fleet_closed_loop\",\n");
-    let _ = writeln!(out, "    \"connections\": {},", router.connections);
-    let _ = writeln!(
-        out,
-        "    \"requests_per_connection\": {},",
-        router.requests_per_connection
-    );
-    let _ = writeln!(out, "    \"backends\": {},", router.backends);
-    let _ = writeln!(out, "    \"seconds\": {:.6},", router.seconds);
-    let _ = writeln!(out, "    \"throughput_rps\": {:.3},", router.throughput());
-    let _ = writeln!(out, "    \"p50_ms\": {:.4},", router.p50_ms);
-    let _ = writeln!(out, "    \"p99_ms\": {:.4},", router.p99_ms);
-    let _ = writeln!(out, "    \"fanned_out\": {},", router.fanned_out);
-    let _ = writeln!(out, "    \"whole_routed\": {},", router.whole_routed);
-    // `measure` compares every merged wire response against the
-    // in-process single-server union answer; gated by bench_check.
-    let _ = writeln!(out, "    \"parity\": {}", router.parity);
-    out.push_str("  },\n");
-    out.push_str("  \"trace_overhead\": {\n");
-    out.push_str("    \"workload\": \"yeast_cache_hot_bbj_traced\",\n");
-    let _ = writeln!(out, "    \"queries\": {},", trace.queries);
-    let _ = writeln!(out, "    \"passes\": {},", trace.passes);
-    let _ = writeln!(out, "    \"plain_seconds\": {:.6},", trace.plain_seconds);
-    let _ = writeln!(out, "    \"traced_seconds\": {:.6},", trace.traced_seconds);
-    let _ = writeln!(out, "    \"overhead\": {:.4},", trace.overhead());
-    let _ = writeln!(
-        out,
-        "    \"overhead_median\": {:.4},",
-        trace.overhead_median
-    );
-    let _ = writeln!(out, "    \"spans\": {},", trace.spans);
-    let _ = writeln!(out, "    \"bitwise\": {},", trace.bitwise);
-    // Bit-identical answers AND traced wall-clock within the 5% budget;
-    // enforced by bench_check like the other flags.
-    let _ = writeln!(out, "    \"parity\": {}", trace.parity());
-    out.push_str("  },\n");
-    out.push_str("  \"graph_load\": {\n");
-    out.push_str("    \"workload\": \"barabasi_albert_binary_vs_text\",\n");
-    let _ = writeln!(out, "    \"nodes\": {},", load.nodes);
-    let _ = writeln!(out, "    \"edges\": {},", load.edges);
-    let _ = writeln!(out, "    \"text_bytes\": {},", load.text_bytes);
-    let _ = writeln!(out, "    \"binary_bytes\": {},", load.binary_bytes);
-    let _ = writeln!(
-        out,
-        "    \"text_load_seconds\": {:.6},",
-        load.text_load_seconds
-    );
-    let _ = writeln!(
-        out,
-        "    \"binary_load_seconds\": {:.6},",
-        load.binary_load_seconds
-    );
-    let _ = writeln!(out, "    \"load_speedup\": {:.3},", load.load_speedup());
-    let _ = writeln!(out, "    \"sweep_columns\": {},", load.sweep_columns);
-    let _ = writeln!(out, "    \"sweep_seconds\": {:.6},", load.sweep_seconds);
-    let _ = writeln!(
-        out,
-        "    \"sweep_edge_rate\": {:.3e},",
-        load.sweep_edge_rate
-    );
-    // Bit-identical CSR arrays AND bit-identical query/walk answers on
-    // both load paths; enforced by bench_check like the other flags.
-    let _ = writeln!(out, "    \"parity\": {}", load.parity);
+    let _ = writeln!(out, "    \"bitwise\": {},", overload.bitwise);
+    let _ = writeln!(out, "    \"isolated\": {}", overload.isolated());
     out.push_str("  },\n");
     out.push_str("  \"engine_ablation\": {\n");
     out.push_str("    \"workload\": \"fig9_twoway_yeast_k50\",\n");
@@ -541,4 +249,17 @@ fn render_json(
     }
     out.push_str("    ]\n  }\n}\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::exit_status;
+
+    #[test]
+    fn exit_status_is_zero_only_when_bitwise_and_isolated() {
+        assert_eq!(exit_status(true, true), 0);
+        assert_ne!(exit_status(false, true), 0);
+        assert_ne!(exit_status(true, false), 0);
+        assert_ne!(exit_status(false, false), 0);
+    }
 }

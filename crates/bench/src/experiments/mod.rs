@@ -1,4 +1,5 @@
-//! One module per table / figure of the paper's evaluation.
+//! One module per table / figure of the paper's evaluation, plus the
+//! `server_overload` hostile-client serving scenario.
 //!
 //! Every module exposes `run(scale) -> String`, returning the formatted
 //! report that the corresponding binary prints.  The reports contain the
@@ -11,17 +12,9 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod graph_load;
-pub mod planner;
-pub mod query_stream;
-pub mod query_stream_concurrent;
-pub mod router_throughput;
 pub mod server_overload;
-pub mod server_soak;
-pub mod server_throughput;
 pub mod table3;
 pub mod table4;
-pub mod trace_overhead;
 
 use dht_core::multiway::{NWayAlgorithm, NWayConfig};
 use dht_core::QueryGraph;
@@ -29,17 +22,6 @@ use dht_datasets::Dataset;
 use dht_graph::NodeSet;
 
 use crate::timing;
-
-/// Serialises timing-sensitive tests within this test binary: the
-/// `graph_load` ≥5× load-speedup assertion and the 1000-connection
-/// `server_soak` run each need the container's cores to themselves, so
-/// their tests take this lock instead of skewing each other's clocks.
-#[cfg(test)]
-pub(crate) fn timing_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Times one n-way join run and returns `(seconds, answers returned)`.
 pub(crate) fn time_nway(

@@ -6,15 +6,13 @@
 //! generator replays a closed-loop query stream on well-behaved
 //! connections while **hostile fault-injection clients** (flood,
 //! never-read, mid-flight disconnect, byte-drip — one of each) attack the
-//! same port.  The `"parity"` flag that lands in `BENCH_results.json` (and
-//! that the `bench_check` CI gate enforces) asserts the isolation
-//! contract, not just bit-equality: well-behaved answers are bit-identical
-//! to in-process sessions **and** well-behaved connections saw zero
-//! `ERR QUOTA` / `ERR DEADLINE`.  The hostile throttling evidence
+//! same port.  The `bitwise` and `isolated` flags that land in
+//! `BENCH_results.json` (and that decide `repro_all`'s exit status) assert
+//! the isolation contract, not just bit-equality: well-behaved answers are
+//! bit-identical to in-process sessions **and** well-behaved connections
+//! saw zero `ERR QUOTA` / `ERR DEADLINE`.  The hostile throttling evidence
 //! (`throttled`, quota-rejection counts) is reported alongside but not
-//! gated — it is load-dependent by nature.  The row's wall-clock seconds
-//! join the gated experiment rows, so a regression that stalls
-//! well-behaved clients behind hostile traffic fails CI as a slowdown.
+//! gated — it is load-dependent by nature.
 
 use dht_core::queryline::{self, ParseOptions};
 use dht_datasets::Scale;
@@ -94,7 +92,7 @@ impl ServerOverloadResult {
 
 /// The replayed stream: repeated-target two-way queries under fixed and
 /// `auto` algorithms, plus one n-way line, over the first three Yeast sets
-/// — the same shape as `server_throughput`, so the two rows compare.
+/// — every wire verb a well-behaved client uses.
 fn stream_lines(set_names: &[String], k: usize) -> Vec<String> {
     let mut lines = Vec::new();
     for algorithm in ["b-bj", "b-idj-y", "auto"] {

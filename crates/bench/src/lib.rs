@@ -1,10 +1,10 @@
 //! # dht-bench
 //!
-//! The benchmark and experiment harness that regenerates every table and
-//! figure of the paper's evaluation (Section VII).  Each experiment is a
-//! library function returning the formatted report, so it can be invoked
-//! from its dedicated binary (`cargo run -p dht-bench --release --bin fig7`),
-//! from the combined `repro_all` binary, or asserted on by tests.
+//! The experiment harness that regenerates every table and figure of the
+//! paper's evaluation (Section VII).  Each experiment is a library function
+//! returning the formatted report, so it can be invoked from its dedicated
+//! binary (`cargo run -p dht-bench --release --bin fig7`), from the combined
+//! `repro_all` binary, or asserted on by tests.
 //!
 //! | paper artefact | module | binary |
 //! |---|---|---|
@@ -16,9 +16,10 @@
 //! | Figure 9 (2-way joins on Yeast) | [`experiments::fig9`] | `fig9` |
 //! | Figure 10 (2-way joins on DBLP) | [`experiments::fig10`] | `fig10` |
 //!
-//! Criterion benches (`cargo bench -p dht-bench`) cover the timing figures
-//! with a representative subset of each sweep so that a full `cargo bench`
-//! stays laptop-sized; the binaries print the complete sweeps.
+//! Beside the paper artefacts the crate keeps one serving scenario the
+//! repository's benchmark does not run: [`experiments::server_overload`],
+//! well-behaved clients under hostile load.  Performance is measured by
+//! the standalone `benchmark/` package (see `BENCHMARK.json`), not here.
 //!
 //! The experiment scale is chosen with the `DHT_SCALE` environment variable
 //! (`tiny`, `bench` — the default, or `full`).
@@ -27,7 +28,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;
-pub mod json;
 pub mod timing;
 pub mod workloads;
 

@@ -7,7 +7,7 @@
 //! `dht loadgen` and `dht querystream` exercise the graph with realistic
 //! hub-heavy, zipf-skewed traffic.
 
-use dht_bench::workloads::zipfian_query_mix;
+use dht_datasets::workloads::zipfian_query_mix;
 use dht_graph::{Graph, NodeId, NodeSet};
 
 use crate::{setsfile, ArgMap, CliError, Result};
@@ -205,6 +205,10 @@ mod tests {
         let min_deg = |set: &NodeSet| set.iter().map(|n| graph.out_degree(n)).min().unwrap_or(0);
         let max_deg = |set: &NodeSet| set.iter().map(|n| graph.out_degree(n)).max().unwrap_or(0);
         assert!(min_deg(&sets[0]) >= max_deg(&sets[3]));
+        let mut members: Vec<_> = sets.iter().flat_map(|set| set.iter()).collect();
+        members.sort();
+        members.dedup();
+        assert_eq!(members.len(), 40, "degree bands must not overlap");
 
         let queries = std::fs::read_to_string(&q).unwrap();
         assert_eq!(queries.lines().count(), 50);

@@ -2,7 +2,8 @@
 //!
 //! Synthetic analogues of the three real datasets used in the paper's
 //! evaluation (Section VII-A), plus the train/test split procedures of the
-//! effectiveness experiments (Section VII-B).
+//! effectiveness experiments (Section VII-B) and the seeded zipf-skewed
+//! query mix ([`workloads`]) that `dht gen` writes for replay.
 //!
 //! | paper dataset | analogue | structure reproduced |
 //! |---|---|---|
@@ -25,6 +26,7 @@ pub mod dataset;
 pub mod dblp;
 pub mod gen;
 pub mod split;
+pub mod workloads;
 pub mod yeast;
 pub mod youtube;
 

@@ -53,7 +53,7 @@
 //! (`tests/planner_parity_proptest.rs`).
 //!
 //! ```
-//! use dht_engine::{Engine, TwoWayQuery};
+//! use dht_engine::Engine;
 //! use dht_core::twoway::TwoWayAlgorithm;
 //! use dht_graph::{GraphBuilder, NodeId, NodeSet};
 //!
@@ -195,97 +195,7 @@ impl Default for EngineConfig {
     }
 }
 
-/// One two-way query of a batch: the `k` best pairs of `p ⋈ q` under
-/// `algorithm`.
-///
-/// Legacy fixed-algorithm struct, kept as a thin conversion into
-/// [`QuerySpec`] — new code should build a [`TwoWaySpec`] (which can also
-/// say [`AlgorithmChoice::Auto`]) and go through [`Session::run`].
-#[derive(Debug, Clone)]
-pub struct TwoWayQuery {
-    /// Join algorithm to answer the query with.
-    pub algorithm: TwoWayAlgorithm,
-    /// Left node set `P`.
-    pub p: NodeSet,
-    /// Right node set `Q`.
-    pub q: NodeSet,
-    /// Number of pairs to return.
-    pub k: usize,
-}
-
-/// One n-way query of a batch.
-///
-/// Legacy fixed-algorithm struct, kept as a thin conversion into
-/// [`QuerySpec`] — new code should build an [`NWaySpec`].
-#[derive(Debug, Clone)]
-pub struct NWayQuery {
-    /// Join algorithm to answer the query with.
-    pub algorithm: NWayAlgorithm,
-    /// Query graph over the node sets.
-    pub query: QueryGraph,
-    /// One node set per query-graph vertex.
-    pub sets: Vec<NodeSet>,
-    /// Monotone aggregate over per-edge scores.
-    pub aggregate: Aggregate,
-    /// Number of answers to return.
-    pub k: usize,
-}
-
-/// One query of a mixed stream: two-way or n-way.
-///
-/// Legacy wrapper, kept as a thin conversion into [`QuerySpec`] — the
-/// batch APIs ([`Engine::batch`], [`Engine::batch_sessions`]) now consume
-/// specs directly; convert with `QuerySpec::from(&engine_query)`.
-#[derive(Debug, Clone)]
-pub enum EngineQuery {
-    /// A two-way join query.
-    TwoWay(TwoWayQuery),
-    /// An n-way join query.
-    NWay(NWayQuery),
-}
-
-impl From<&TwoWayQuery> for TwoWaySpec {
-    fn from(query: &TwoWayQuery) -> Self {
-        TwoWaySpec::new(query.p.clone(), query.q.clone(), query.k).with_fixed(query.algorithm)
-    }
-}
-
-impl From<&NWayQuery> for NWaySpec {
-    fn from(query: &NWayQuery) -> Self {
-        NWaySpec::new(query.query.clone(), query.sets.clone(), query.k)
-            .with_aggregate(query.aggregate)
-            .with_fixed(query.algorithm)
-    }
-}
-
-impl From<&EngineQuery> for QuerySpec {
-    fn from(query: &EngineQuery) -> Self {
-        match query {
-            EngineQuery::TwoWay(q) => QuerySpec::TwoWay(TwoWaySpec::from(q)),
-            EngineQuery::NWay(q) => QuerySpec::NWay(NWaySpec::from(q)),
-        }
-    }
-}
-
-impl From<TwoWayQuery> for QuerySpec {
-    fn from(query: TwoWayQuery) -> Self {
-        QuerySpec::TwoWay(TwoWaySpec::from(&query))
-    }
-}
-
-impl From<NWayQuery> for QuerySpec {
-    fn from(query: NWayQuery) -> Self {
-        QuerySpec::NWay(NWaySpec::from(&query))
-    }
-}
-
-impl From<EngineQuery> for QuerySpec {
-    fn from(query: EngineQuery) -> Self {
-        QuerySpec::from(&query)
-    }
-}
-
-/// The answer to one [`EngineQuery`].
+/// The answer to one [`QuerySpec`].
 #[derive(Debug, Clone)]
 pub enum EngineOutput {
     /// Answer to a two-way query.
@@ -424,28 +334,6 @@ impl Engine {
             ctx = ctx.with_shared_y_tables(store.clone());
         }
         Session { engine: self, ctx }
-    }
-
-    /// Answers a whole stream of two-way queries on one internal session, so
-    /// later queries reuse the columns earlier ones computed.  Results are
-    /// in query order and bit-identical to answering each query one-shot.
-    ///
-    /// # Errors
-    /// Fails when a query is malformed (empty node set, `k = 0`); the
-    /// error carries the offending query's index
-    /// ([`CoreError::AtQuery`]).
-    pub fn two_way_batch(&self, queries: &[TwoWayQuery]) -> dht_core::Result<Vec<TwoWayOutput>> {
-        self.session().two_way_batch(queries)
-    }
-
-    /// Answers a stream of n-way queries on one internal session.
-    ///
-    /// # Errors
-    /// Fails when a query's graph and node sets are inconsistent; the
-    /// error carries the offending query's index
-    /// ([`CoreError::AtQuery`]).
-    pub fn n_way_batch(&self, queries: &[NWayQuery]) -> dht_core::Result<Vec<NWayOutput>> {
-        self.session().n_way_batch(queries)
     }
 
     /// Answers a mixed two-way / n-way spec stream on one internal
@@ -857,85 +745,6 @@ impl Session<'_> {
         Ok((plan, output))
     }
 
-    /// Answers one query of a mixed stream.
-    ///
-    /// Legacy entry point for [`EngineQuery`]; prefer [`Session::run`]
-    /// with a [`QuerySpec`].
-    ///
-    /// # Errors
-    /// Fails when an n-way query's graph and node sets are inconsistent.
-    pub fn answer(&mut self, query: &EngineQuery) -> dht_core::Result<EngineOutput> {
-        match query {
-            EngineQuery::TwoWay(q) => Ok(EngineOutput::TwoWay(self.two_way(
-                q.algorithm,
-                &q.p,
-                &q.q,
-                q.k,
-            ))),
-            EngineQuery::NWay(q) => Ok(EngineOutput::NWay(self.n_way(
-                q.algorithm,
-                &q.query,
-                &q.sets,
-                q.aggregate,
-                q.k,
-            )?)),
-        }
-    }
-
-    /// Answers a stream of two-way queries in order on this session's warm
-    /// state.
-    ///
-    /// # Errors
-    /// Fails when a query is malformed (empty node set, `k = 0`); the
-    /// error names the offending query's index ([`CoreError::AtQuery`]),
-    /// and the whole batch is validated before anything runs.
-    pub fn two_way_batch(
-        &mut self,
-        queries: &[TwoWayQuery],
-    ) -> dht_core::Result<Vec<TwoWayOutput>> {
-        for (index, query) in queries.iter().enumerate() {
-            dht_core::spec::validate_two_way_inputs(&query.p, &query.q, query.k)
-                .map_err(|error| CoreError::at_query(index, error))?;
-        }
-        Ok(queries
-            .iter()
-            .map(|query| self.two_way(query.algorithm, &query.p, &query.q, query.k))
-            .collect())
-    }
-
-    /// Answers a stream of n-way queries in order on this session's warm
-    /// state.
-    ///
-    /// # Errors
-    /// Fails when a query's graph and node sets are inconsistent; the
-    /// error names the offending query's index ([`CoreError::AtQuery`]),
-    /// and the whole batch is validated before anything runs.
-    pub fn n_way_batch(&mut self, queries: &[NWayQuery]) -> dht_core::Result<Vec<NWayOutput>> {
-        for (index, query) in queries.iter().enumerate() {
-            dht_core::spec::validate_n_way_inputs(
-                &query.query,
-                &query.sets,
-                query.k,
-                &AlgorithmChoice::Fixed(query.algorithm),
-            )
-            .map_err(|error| CoreError::at_query(index, error))?;
-        }
-        queries
-            .iter()
-            .enumerate()
-            .map(|(index, query)| {
-                self.n_way(
-                    query.algorithm,
-                    &query.query,
-                    &query.sets,
-                    query.aggregate,
-                    query.k,
-                )
-                .map_err(|error| CoreError::at_query(index, error))
-            })
-            .collect()
-    }
-
     /// Cumulative backward-column cache counters **as seen by this
     /// session**: on a shared-cache engine these count this session's
     /// lookups (evictions are engine-global — see
@@ -1149,31 +958,66 @@ mod tests {
         assert_eq!(stats.hits, 4 * sets[2].len() as u64);
     }
 
+    /// A fixed-algorithm two-way spec (the batch tests pin the algorithm so
+    /// cache counters are exact).
+    fn fixed_two_way(algorithm: TwoWayAlgorithm, p: &NodeSet, q: &NodeSet, k: usize) -> QuerySpec {
+        TwoWaySpec::new(p.clone(), q.clone(), k)
+            .with_fixed(algorithm)
+            .into()
+    }
+
+    /// A fixed-algorithm (AP, `Min`) n-way spec.
+    fn fixed_n_way(query: QueryGraph, sets: &[NodeSet], k: usize) -> QuerySpec {
+        NWaySpec::new(query, sets.to_vec(), k)
+            .with_aggregate(Aggregate::Min)
+            .with_fixed(NWayAlgorithm::AllPairs)
+            .into()
+    }
+
+    /// Asserts two output streams are bit-identical, query by query.
+    fn assert_same_outputs(reference: &[EngineOutput], other: &[EngineOutput], context: &str) {
+        assert_eq!(reference.len(), other.len(), "{context}");
+        for (index, (a, b)) in reference.iter().zip(other).enumerate() {
+            match (a, b) {
+                (EngineOutput::TwoWay(x), EngineOutput::TwoWay(y)) => {
+                    assert_eq!(x.pairs, y.pairs, "query {index} {context}");
+                }
+                (EngineOutput::NWay(x), EngineOutput::NWay(y)) => {
+                    assert_eq!(x.answers, y.answers, "query {index} {context}");
+                }
+                _ => panic!("output kind changed for query {index} {context}"),
+            }
+        }
+    }
+
     #[test]
     fn batches_reuse_the_warm_cache_across_queries() {
         let (graph, sets) = fixture();
         let engine = Engine::new(graph);
-        let queries: Vec<TwoWayQuery> = (0..6)
-            .map(|i| TwoWayQuery {
-                algorithm: TwoWayAlgorithm::BackwardBasic,
-                p: sets[i % 2].clone(),
-                q: sets[2].clone(), // every query shares the same targets
-                k: 5,
-            })
+        // every query shares the same targets
+        let queries: Vec<QuerySpec> = (0..6)
+            .map(|i| fixed_two_way(TwoWayAlgorithm::BackwardBasic, &sets[i % 2], &sets[2], 5))
             .collect();
         let mut session = engine.session();
-        let outputs = session.two_way_batch(&queries).unwrap();
+        session.set_trace_enabled(true);
+        let outputs: Vec<EngineOutput> = queries
+            .iter()
+            .map(|spec| session.run(spec).unwrap())
+            .collect();
         assert_eq!(outputs.len(), queries.len());
+        assert_eq!(
+            session.trace().phase_count(Phase::Join),
+            queries.len() as u64,
+            "a traced session records exactly one join span per query"
+        );
         let stats = session.cache_stats();
         // |Q| misses on the first query, hits from then on.
         assert_eq!(stats.misses, sets[2].len() as u64);
         assert_eq!(stats.hits, 5 * sets[2].len() as u64);
         // engine-level batch produces the same outputs (served from the
         // now-warm shared cache)
-        let again = engine.two_way_batch(&queries).unwrap();
-        for (a, b) in outputs.iter().zip(again.iter()) {
-            assert_eq!(a.pairs, b.pairs);
-        }
+        let again = engine.batch(&queries).unwrap();
+        assert_same_outputs(&outputs, &again, "engine batch");
     }
 
     #[test]
@@ -1181,34 +1025,23 @@ mod tests {
         let (graph, sets) = fixture();
         let engine = Engine::new(graph);
         let queries = vec![
-            TwoWayQuery {
-                algorithm: TwoWayAlgorithm::BackwardBasic,
-                p: sets[0].clone(),
-                q: sets[1].clone(),
-                k: 3,
-            },
-            TwoWayQuery {
-                algorithm: TwoWayAlgorithm::BackwardBasic,
-                p: NodeSet::empty("P"),
-                q: sets[1].clone(),
-                k: 3,
-            },
+            fixed_two_way(TwoWayAlgorithm::BackwardBasic, &sets[0], &sets[1], 3),
+            fixed_two_way(
+                TwoWayAlgorithm::BackwardBasic,
+                &NodeSet::empty("P"),
+                &sets[1],
+                3,
+            ),
         ];
-        let error = engine.two_way_batch(&queries).unwrap_err();
+        let error = engine.batch(&queries).unwrap_err();
         assert!(
             matches!(error, CoreError::AtQuery { index: 1, .. }),
             "{error}"
         );
         assert!(error.to_string().contains("query #1"), "{error}");
 
-        let n_way = vec![NWayQuery {
-            algorithm: NWayAlgorithm::AllPairs,
-            query: QueryGraph::chain(4),
-            sets: sets.clone(),
-            aggregate: Aggregate::Min,
-            k: 3,
-        }];
-        let error = engine.n_way_batch(&n_way).unwrap_err();
+        let n_way = vec![fixed_n_way(QueryGraph::chain(4), &sets, 3)];
+        let error = engine.batch(&n_way).unwrap_err();
         assert!(
             matches!(error, CoreError::AtQuery { index: 0, .. }),
             "{error}"
@@ -1218,31 +1051,19 @@ mod tests {
     #[test]
     fn batch_sessions_matches_single_session_batches() {
         let (graph, sets) = fixture();
-        let query_graph = QueryGraph::chain(3);
-        let mut queries: Vec<EngineQuery> = Vec::new();
+        let mut queries: Vec<QuerySpec> = Vec::new();
         for round in 0..3 {
+            let algorithm = if round % 2 == 0 {
+                TwoWayAlgorithm::BackwardBasic
+            } else {
+                TwoWayAlgorithm::BackwardIdjY
+            };
             for (i, j) in [(0usize, 2usize), (1, 2), (0, 1)] {
-                queries.push(EngineQuery::TwoWay(TwoWayQuery {
-                    algorithm: if round % 2 == 0 {
-                        TwoWayAlgorithm::BackwardBasic
-                    } else {
-                        TwoWayAlgorithm::BackwardIdjY
-                    },
-                    p: sets[i].clone(),
-                    q: sets[j].clone(),
-                    k: 5,
-                }));
+                queries.push(fixed_two_way(algorithm, &sets[i], &sets[j], 5));
             }
-            queries.push(EngineQuery::NWay(NWayQuery {
-                algorithm: NWayAlgorithm::AllPairs,
-                query: query_graph.clone(),
-                sets: sets.clone(),
-                aggregate: Aggregate::Min,
-                k: 4,
-            }));
+            queries.push(fixed_n_way(QueryGraph::chain(3), &sets, 4));
         }
         // Mix in an Auto spec so the planner runs under concurrency too.
-        let mut queries: Vec<QuerySpec> = queries.iter().map(QuerySpec::from).collect();
         queries.push(QuerySpec::two_way(sets[0].clone(), sets[2].clone(), 5));
         for shared in [true, false] {
             let engine = Engine::with_config(
@@ -1252,18 +1073,7 @@ mod tests {
             let reference = engine.batch(&queries).unwrap();
             for sessions in [2usize, 4] {
                 let concurrent = engine.batch_sessions(&queries, sessions).unwrap();
-                assert_eq!(reference.len(), concurrent.len());
-                for (index, (a, b)) in reference.iter().zip(concurrent.iter()).enumerate() {
-                    match (a, b) {
-                        (EngineOutput::TwoWay(x), EngineOutput::TwoWay(y)) => {
-                            assert_eq!(x.pairs, y.pairs, "query {index} sessions={sessions}");
-                        }
-                        (EngineOutput::NWay(x), EngineOutput::NWay(y)) => {
-                            assert_eq!(x.answers, y.answers, "query {index} sessions={sessions}");
-                        }
-                        _ => panic!("output kind changed for query {index}"),
-                    }
-                }
+                assert_same_outputs(&reference, &concurrent, &format!("sessions={sessions}"));
             }
         }
     }
@@ -1274,19 +1084,8 @@ mod tests {
         let engine = Engine::new(graph);
         // Query 1 is malformed (three sets on a 4-vertex query graph).
         let queries = vec![
-            QuerySpec::from(EngineQuery::TwoWay(TwoWayQuery {
-                algorithm: TwoWayAlgorithm::BackwardBasic,
-                p: sets[0].clone(),
-                q: sets[1].clone(),
-                k: 3,
-            })),
-            QuerySpec::from(EngineQuery::NWay(NWayQuery {
-                algorithm: NWayAlgorithm::AllPairs,
-                query: QueryGraph::chain(4),
-                sets: sets.clone(),
-                aggregate: Aggregate::Min,
-                k: 3,
-            })),
+            fixed_two_way(TwoWayAlgorithm::BackwardBasic, &sets[0], &sets[1], 3),
+            fixed_n_way(QueryGraph::chain(4), &sets, 3),
         ];
         for sessions in [1usize, 2] {
             let error = engine.batch_sessions(&queries, sessions).unwrap_err();

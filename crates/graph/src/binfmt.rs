@@ -53,7 +53,7 @@ use std::path::Path;
 
 use crate::csr::Csr;
 use crate::graph::Graph;
-use crate::{GraphError, Result};
+use crate::{fnv1a, GraphError, Result};
 
 /// File magic: the first four bytes of every binary graph container.
 pub const MAGIC: [u8; 4] = *b"DHTG";
@@ -71,16 +71,6 @@ pub const HEADER_LEN: usize = 40;
 /// external tooling (and tests) can re-stamp a hand-edited header.
 pub fn header_checksum(prefix: &[u8]) -> u64 {
     fnv1a(prefix)
-}
-
-/// FNV-1a 64-bit over a byte slice — dependency-free header checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 fn corrupt(message: impl Into<String>) -> GraphError {

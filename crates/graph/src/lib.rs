@@ -41,6 +41,7 @@ pub mod csr;
 pub mod error;
 pub mod generators;
 pub mod graph;
+mod hash;
 pub mod io;
 pub mod node;
 pub mod nodeset;
@@ -49,6 +50,7 @@ pub mod subgraph;
 pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use graph::Graph;
+pub use hash::fnv1a;
 pub use node::NodeId;
 pub use nodeset::NodeSet;
 

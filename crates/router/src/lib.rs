@@ -75,7 +75,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dht_core::queryline::{self, LinePrefixes};
-use dht_graph::NodeSet;
+use dht_graph::{fnv1a, NodeSet};
 use dht_obs::{Counter, Gauge, Histogram, Registry};
 use dht_poll::{poll, PollFd, POLLIN};
 use dht_server::loadgen::busy_backoff;
@@ -87,18 +87,6 @@ const ACCEPT_POLL: Duration = Duration::from_millis(20);
 const CLIENT_POLL: Duration = Duration::from_millis(50);
 /// Longest request line the router will assemble before refusing.
 const MAX_LINE_BYTES: usize = 64 * 1024;
-
-/// 64-bit FNV-1a over `bytes` — the router's one deterministic hash
-/// (sharding and whole-line placement both use it, so a cluster can be
-/// rebuilt from scratch and route identically).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in bytes {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// The shard (backend index) that owns target node `node` in an
 /// `shards`-way partition.

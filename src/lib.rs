@@ -105,9 +105,7 @@ pub mod prelude {
     pub use dht_core::spec::{AlgorithmChoice, NWaySpec, QuerySpec, TwoWaySpec};
     pub use dht_core::twoway::{TwoWayAlgorithm, TwoWayConfig, TwoWayOutput};
     pub use dht_core::{Aggregate, Answer, QueryGraph};
-    pub use dht_engine::{
-        Engine, EngineConfig, EngineOutput, NWayQuery, QueryPlan, Session, TwoWayQuery,
-    };
+    pub use dht_engine::{Engine, EngineConfig, EngineOutput, QueryPlan, Session};
     pub use dht_graph::generators::PlantedPartitionConfig;
     pub use dht_graph::{Graph, GraphBuilder, NodeId, NodeSet};
     pub use dht_measures::{IterativeMeasure, ProximityMeasure};

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use dht_nway::core::multiway::{NWayAlgorithm, NWayConfig};
 use dht_nway::core::twoway::{TwoWayAlgorithm, TwoWayConfig};
-use dht_nway::engine::{Engine, EngineConfig, EngineQuery, NWayQuery, TwoWayQuery};
+use dht_nway::engine::{Engine, EngineConfig};
 use dht_nway::prelude::*;
 
 /// Strategy: a random directed weighted graph as an edge list over `n`
@@ -59,7 +59,7 @@ fn overlapping_sets(n: usize) -> Vec<NodeSet> {
 }
 
 /// Builds the mixed query stream from the random descriptors.
-fn build_stream(descriptors: &[(u32, u32, usize)], sets: &[NodeSet]) -> Vec<EngineQuery> {
+fn build_stream(descriptors: &[(u32, u32, usize)], sets: &[NodeSet]) -> Vec<QuerySpec> {
     descriptors
         .iter()
         .enumerate()
@@ -70,20 +70,14 @@ fn build_stream(descriptors: &[(u32, u32, usize)], sets: &[NodeSet]) -> Vec<Engi
                 _ => (2, 0),
             };
             if i % 4 == 3 {
-                EngineQuery::NWay(NWayQuery {
-                    algorithm: NWayAlgorithm::AllPairs,
-                    query: QueryGraph::chain(3),
-                    sets: sets.to_vec(),
-                    aggregate: Aggregate::Min,
-                    k,
-                })
+                NWaySpec::new(QueryGraph::chain(3), sets.to_vec(), k)
+                    .with_aggregate(Aggregate::Min)
+                    .with_fixed(NWayAlgorithm::AllPairs)
+                    .into()
             } else {
-                EngineQuery::TwoWay(TwoWayQuery {
-                    algorithm: TwoWayAlgorithm::ALL[algo as usize],
-                    p: sets[left].clone(),
-                    q: sets[right].clone(),
-                    k,
-                })
+                TwoWaySpec::new(sets[left].clone(), sets[right].clone(), k)
+                    .with_fixed(TwoWayAlgorithm::ALL[algo as usize])
+                    .into()
             }
         })
         .collect()
@@ -102,13 +96,11 @@ proptest! {
         let graph = build_graph(n, &edges);
         let sets = overlapping_sets(n);
         prop_assume!(sets.iter().all(|s| !s.is_empty()));
-        let stream = build_stream(&descriptors, &sets);
+        let specs = build_stream(&descriptors, &sets);
 
         // One-shot references, computed without any engine.
         let two_way_config = TwoWayConfig::paper_default();
         let n_way_config = NWayConfig::paper_default();
-        let references: Vec<EngineQuery> = stream.clone();
-        let specs: Vec<QuerySpec> = stream.iter().map(QuerySpec::from).collect();
 
         // A budget worth ~2 columns of the largest generated graph, and a
         // Y-table store holding exactly one table: every session keeps
@@ -127,15 +119,15 @@ proptest! {
             let outputs = engine
                 .batch_sessions(&specs, sessions)
                 .expect("stream is valid");
-            prop_assert_eq!(outputs.len(), references.len());
-            for (index, (query, output)) in references.iter().zip(outputs.iter()).enumerate() {
+            prop_assert_eq!(outputs.len(), specs.len());
+            for (index, (query, output)) in specs.iter().zip(outputs.iter()).enumerate() {
                 match (query, output) {
                     (
-                        EngineQuery::TwoWay(q),
+                        QuerySpec::TwoWay(q),
                         dht_nway::engine::EngineOutput::TwoWay(out),
                     ) => {
-                        let cold =
-                            q.algorithm.top_k(&graph, &two_way_config, &q.p, &q.q, q.k);
+                        let algorithm = q.algorithm.fixed().expect("stream pins every algorithm");
+                        let cold = algorithm.top_k(&graph, &two_way_config, &q.p, &q.q, q.k);
                         prop_assert_eq!(out.pairs.len(), cold.pairs.len(),
                             "query {} sessions={}", index, sessions);
                         for (a, b) in out.pairs.iter().zip(cold.pairs.iter()) {
@@ -149,14 +141,14 @@ proptest! {
                             "stats diverged for query {} sessions={}", index, sessions);
                     }
                     (
-                        EngineQuery::NWay(q),
+                        QuerySpec::NWay(q),
                         dht_nway::engine::EngineOutput::NWay(out),
                     ) => {
                         let config = n_way_config
                             .with_aggregate(q.aggregate)
                             .with_k(q.k);
-                        let cold = q
-                            .algorithm
+                        let algorithm = q.algorithm.fixed().expect("stream pins every algorithm");
+                        let cold = algorithm
                             .run(&graph, &config, &q.query, &q.sets)
                             .expect("valid query");
                         prop_assert_eq!(out.answers.len(), cold.answers.len(),

@@ -4,20 +4,22 @@
 //! edge, indexed by both endpoints so that `getCandidate` can extend a
 //! partial answer through either side of the edge in `O(matches)`.
 //!
-//! The paper describes the buffer as a `|R_i| × |R_j|` array; a hash-indexed
-//! adjacency representation is equivalent but only uses memory proportional
-//! to the number of pairs actually pulled, which for PJ is `m + Δ` rather
-//! than `|R_i|·|R_j|`.
+//! The paper describes the buffer as a `|R_i| × |R_j|` array; two adjacency
+//! maps keyed by node id — one per endpoint — are equivalent but only use
+//! memory proportional to the number of pairs actually pulled, which for PJ
+//! is `m + Δ` rather than `|R_i|·|R_j|`.  The keys are node ids the join
+//! itself pulled, so the maps hash with [`MixBuildHasher`] (one multiply per
+//! lookup) rather than SipHash.
 
 use std::collections::HashMap;
 
-use dht_graph::NodeId;
+use dht_graph::{MixBuildHasher, NodeId};
 
 /// Pairs pulled for one query edge, indexed by both endpoints.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateBuffer {
-    by_left: HashMap<u32, Vec<(u32, f64)>>,
-    by_right: HashMap<u32, Vec<(u32, f64)>>,
+    by_left: HashMap<u32, Vec<(u32, f64)>, MixBuildHasher>,
+    by_right: HashMap<u32, Vec<(u32, f64)>, MixBuildHasher>,
     len: usize,
 }
 

@@ -9,10 +9,15 @@
 //! round-robin pulling, the candidate buffers, the candidate expansion
 //! (`getCandidate`) and the HRJN corner-bound stopping rule — is identical
 //! and implemented once here.
+//!
+//! A pull allocates nothing but what it keeps: the partial answer, its
+//! per-edge scores and the corner bound's corners live in buffers made once
+//! per run, `getCandidate` walks the candidate buffers' slices in place, and
+//! a candidate's node list is copied out only when it can enter the output.
 
 use std::collections::HashSet;
 
-use dht_graph::{NodeId, NodeSet};
+use dht_graph::{MixBuildHasher, NodeId, NodeSet};
 use dht_rankjoin::{CornerBound, RoundRobin, TopKBuffer};
 
 use crate::aggregate::Aggregate;
@@ -26,18 +31,16 @@ use super::candidate_buffer::CandidateBuffer;
 /// Deduplication key of a candidate answer.
 ///
 /// The rank join can generate the same n-tuple through several expansion
-/// paths, so every candidate is checked against a `seen` set.  Keying that
-/// set on a `Vec<u32>` (as the seed did) costs one heap allocation per
-/// *candidate* — by far the most frequent allocation in PJ/PJ-i runs.  For
-/// the paper's query graphs (`n ≤ 8` node sets) the ids fit in a fixed
-/// inline array; wider queries fall back to a boxed slice.
+/// paths, so every candidate that could enter the output is checked against
+/// a `seen` set.  For the paper's query graphs (`n ≤ 8` node sets) the ids
+/// fit in a fixed inline array; wider queries fall back to a boxed slice.
 #[derive(Debug, PartialEq, Eq, Hash)]
 enum AnswerKey {
     /// `n ≤ 8` node sets: ids inline, unused slots padded with `u32::MAX`.
     /// The length is part of the key, so padding cannot collide with a
     /// shorter genuine answer.
     Packed { len: u8, ids: [u32; 8] },
-    /// Arbitrary arity fallback (allocates, like the seed's key).
+    /// Arbitrary arity fallback (allocates).
     Wide(Box<[u32]>),
 }
 
@@ -93,19 +96,28 @@ pub fn run(
     let mut exhausted = vec![false; edge_count];
     let mut corner = CornerBound::new(edge_count);
     let mut rr = RoundRobin::new(edge_count);
-    let mut output: TopKBuffer<Vec<NodeId>> = TopKBuffer::new(k);
-    let mut seen: HashSet<AnswerKey> = HashSet::new();
     // Pre-compute the edge expansion order from every possible start edge.
     let expansion_orders: Vec<Vec<usize>> = (0..edge_count)
         .map(|e| query.edges_in_expansion_order(e))
         .collect();
+    // The partial answer `getCandidate` extends and what it produced so far:
+    // allocated once, reused by every pull.
+    let mut partial = Partial {
+        nodes: vec![NodeId(0); query.node_set_count()],
+        assigned: vec![false; query.node_set_count()],
+        edge_scores: vec![0.0; edge_count],
+        output: TopKBuffer::new(k),
+        seen: HashSet::default(),
+        generated: 0,
+    };
 
     loop {
         // Stopping rule (Step 6): stop once k answers are held and the worst
         // of them already reaches the corner-bound threshold.
-        if output.is_full() {
+        if partial.output.is_full() {
             let tau = corner.threshold(|scores| aggregate.combine(scores));
-            if output.min_score().expect("full buffer has a minimum") >= tau {
+            let worst = partial.output.min_score();
+            if worst.expect("full buffer has a minimum") >= tau {
                 break;
             }
         }
@@ -126,25 +138,26 @@ pub fn run(
                 buffers[edge].insert(pair.left, pair.right, pair.score);
                 // getCandidate (Step 12): build every complete answer that
                 // uses the newly pulled pair.
-                let candidates = expand_candidates(
+                let (a, b) = query.edges()[edge];
+                partial.assign(a, pair.left);
+                partial.assign(b, pair.right);
+                partial.edge_scores[edge] = pair.score;
+                let expansion = Expansion {
                     query,
-                    &expansion_orders[edge],
-                    edge,
-                    &pair,
-                    &buffers,
+                    order: &expansion_orders[edge],
+                    buffers: &buffers,
                     aggregate,
-                );
-                for answer in candidates {
-                    stats.candidates_generated += 1;
-                    if seen.insert(AnswerKey::new(&answer.nodes)) {
-                        output.insert(answer.score, answer.nodes);
-                    }
-                }
+                };
+                expansion.extend(1, &mut partial);
+                partial.assigned[a] = false;
+                partial.assigned[b] = false;
             }
         }
     }
+    stats.candidates_generated += partial.generated;
 
-    let mut answers: Vec<Answer> = output
+    let mut answers: Vec<Answer> = partial
+        .output
         .into_sorted_desc()
         .into_iter()
         .map(|(score, nodes)| Answer::new(nodes, score))
@@ -153,135 +166,102 @@ pub fn run(
     Ok(answers)
 }
 
-/// `getCandidate`: extends the newly pulled pair of `start_edge` into every
-/// complete candidate answer supported by the current candidate buffers.
-fn expand_candidates(
-    query: &QueryGraph,
-    expansion_order: &[usize],
-    start_edge: usize,
-    pair: &PairScore,
-    buffers: &[CandidateBuffer],
+/// What one `getCandidate` call reads and never changes.
+struct Expansion<'a> {
+    query: &'a QueryGraph,
+    /// Every edge, the newly pulled one first (position 0).
+    order: &'a [usize],
+    buffers: &'a [CandidateBuffer],
     aggregate: Aggregate,
-) -> Vec<Answer> {
-    let n = query.node_set_count();
-    let (a, b) = query.edges()[start_edge];
-    let mut assignment: Vec<Option<NodeId>> = vec![None; n];
-    assignment[a] = Some(pair.left);
-    assignment[b] = Some(pair.right);
-    let mut edge_scores: Vec<f64> = vec![0.0; query.edge_count()];
-    edge_scores[start_edge] = pair.score;
-    let mut out = Vec::new();
-    recurse(
-        query,
-        expansion_order,
-        1,
-        &mut assignment,
-        &mut edge_scores,
-        buffers,
-        aggregate,
-        &mut out,
-    );
-    out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn recurse(
-    query: &QueryGraph,
-    order: &[usize],
-    pos: usize,
-    assignment: &mut Vec<Option<NodeId>>,
-    edge_scores: &mut Vec<f64>,
-    buffers: &[CandidateBuffer],
-    aggregate: Aggregate,
-    out: &mut Vec<Answer>,
-) {
-    if pos == order.len() {
-        // All node sets must be assigned (true for connected query graphs).
-        if assignment.iter().any(Option::is_none) {
+/// The partial answer under construction and the rank join's output.
+struct Partial {
+    /// The node chosen for each node set; meaningful where `assigned`.
+    nodes: Vec<NodeId>,
+    assigned: Vec<bool>,
+    /// The score of each query edge already placed.
+    edge_scores: Vec<f64>,
+    output: TopKBuffer<Vec<NodeId>>,
+    seen: HashSet<AnswerKey, MixBuildHasher>,
+    /// Complete candidates produced (`NWayStats::candidates_generated`).
+    generated: u64,
+}
+
+impl Partial {
+    fn assign(&mut self, set: usize, node: NodeId) {
+        self.nodes[set] = node;
+        self.assigned[set] = true;
+    }
+
+    /// A complete candidate: counted always, offered to the output only if
+    /// it was not seen before.
+    ///
+    /// A candidate scoring below the output's `k`-th score is dropped
+    /// before its key is hashed or its node list copied out.  Dropping it
+    /// unseen is sound: a tuple's score is a function of the tuple (each
+    /// pair is pulled once, with one score) and the `k`-th score never
+    /// falls, so a later copy of the same tuple is dropped the same way.
+    fn complete(&mut self, score: f64) {
+        self.generated += 1;
+        if score < self.output.threshold() {
             return;
         }
-        let nodes: Vec<NodeId> = assignment
-            .iter()
-            .map(|n| n.expect("checked above"))
-            .collect();
-        let score = aggregate.combine(edge_scores);
-        out.push(Answer::new(nodes, score));
-        return;
+        if self.seen.insert(AnswerKey::new(&self.nodes)) {
+            self.output.insert(score, self.nodes.clone());
+        }
     }
-    let edge = order[pos];
-    let (a, b) = query.edges()[edge];
-    match (assignment[a], assignment[b]) {
-        (Some(na), Some(nb)) => {
-            if let Some(score) = buffers[edge].score_of(na, nb) {
-                edge_scores[edge] = score;
-                recurse(
-                    query,
-                    order,
-                    pos + 1,
-                    assignment,
-                    edge_scores,
-                    buffers,
-                    aggregate,
-                    out,
-                );
+}
+
+impl Expansion<'_> {
+    /// `getCandidate`: extends `partial` — which holds the newly pulled pair
+    /// — through the edges at `order[pos..]` into every complete candidate
+    /// answer the candidate buffers support.
+    fn extend(&self, pos: usize, partial: &mut Partial) {
+        if pos == self.order.len() {
+            // All node sets must be assigned (true for connected query graphs).
+            if partial.assigned.iter().all(|&set| set) {
+                partial.complete(self.aggregate.combine(&partial.edge_scores));
             }
+            return;
         }
-        (Some(na), None) => {
-            let matches: Vec<(u32, f64)> = buffers[edge].with_left(na).to_vec();
-            for (nb, score) in matches {
-                assignment[b] = Some(NodeId(nb));
-                edge_scores[edge] = score;
-                recurse(
-                    query,
-                    order,
-                    pos + 1,
-                    assignment,
-                    edge_scores,
-                    buffers,
-                    aggregate,
-                    out,
-                );
-                assignment[b] = None;
+        let edge = self.order[pos];
+        let (a, b) = self.query.edges()[edge];
+        let buffer = &self.buffers[edge];
+        match (partial.assigned[a], partial.assigned[b]) {
+            (true, true) => {
+                if let Some(score) = buffer.score_of(partial.nodes[a], partial.nodes[b]) {
+                    partial.edge_scores[edge] = score;
+                    self.extend(pos + 1, partial);
+                }
             }
-        }
-        (None, Some(nb)) => {
-            let matches: Vec<(u32, f64)> = buffers[edge].with_right(nb).to_vec();
-            for (na, score) in matches {
-                assignment[a] = Some(NodeId(na));
-                edge_scores[edge] = score;
-                recurse(
-                    query,
-                    order,
-                    pos + 1,
-                    assignment,
-                    edge_scores,
-                    buffers,
-                    aggregate,
-                    out,
-                );
-                assignment[a] = None;
+            (true, false) => {
+                for &(nb, score) in buffer.with_left(partial.nodes[a]) {
+                    partial.assign(b, NodeId(nb));
+                    partial.edge_scores[edge] = score;
+                    self.extend(pos + 1, partial);
+                }
+                partial.assigned[b] = false;
             }
-        }
-        (None, None) => {
-            // Only reachable for disconnected query graphs, which the driver
-            // rejects; handled defensively by enumerating the whole buffer.
-            let matches: Vec<(NodeId, NodeId, f64)> = buffers[edge].iter_all().collect();
-            for (na, nb, score) in matches {
-                assignment[a] = Some(na);
-                assignment[b] = Some(nb);
-                edge_scores[edge] = score;
-                recurse(
-                    query,
-                    order,
-                    pos + 1,
-                    assignment,
-                    edge_scores,
-                    buffers,
-                    aggregate,
-                    out,
-                );
-                assignment[a] = None;
-                assignment[b] = None;
+            (false, true) => {
+                for &(na, score) in buffer.with_right(partial.nodes[b]) {
+                    partial.assign(a, NodeId(na));
+                    partial.edge_scores[edge] = score;
+                    self.extend(pos + 1, partial);
+                }
+                partial.assigned[a] = false;
+            }
+            (false, false) => {
+                // Only reachable for disconnected query graphs, which the driver
+                // rejects; handled defensively by enumerating the whole buffer.
+                for (na, nb, score) in buffer.iter_all() {
+                    partial.assign(a, na);
+                    partial.assign(b, nb);
+                    partial.edge_scores[edge] = score;
+                    self.extend(pos + 1, partial);
+                }
+                partial.assigned[a] = false;
+                partial.assigned[b] = false;
             }
         }
     }
@@ -488,5 +468,78 @@ mod tests {
         let mut stats = NWayStats::default();
         let err = run(&query, &sets, Aggregate::Sum, 1, &mut provider, &mut stats).unwrap_err();
         assert_eq!(err, crate::CoreError::DisconnectedQueryGraph);
+    }
+
+    /// One line per (shape, aggregate, algorithm); see the test below.
+    const PINNED: &str = "\
+chain SUM pj: pulled 65 candidates 124 next_pair 61 | [0, 11, 17]=-2.401771612564585 [4, 11, 17]=-2.4064244797165877 [6, 11, 17]=-2.4065577680601846\n\
+chain SUM pj-i: pulled 65 candidates 124 next_pair 61 | [0, 11, 17]=-2.401771612564585 [4, 11, 17]=-2.4064244797165877 [6, 11, 17]=-2.4065577680601846\n\
+chain MIN pj: pulled 15 candidates 5 next_pair 11 | [0, 14, 16]=-1.2313872886183723 [0, 14, 20]=-1.2313872886183723 [0, 12, 17]=-1.2327459961468838\n\
+chain MIN pj-i: pulled 15 candidates 5 next_pair 11 | [0, 14, 16]=-1.2313872886183723 [0, 14, 20]=-1.2313872886183723 [0, 12, 17]=-1.2327459961468838\n\
+star SUM pj: pulled 45 candidates 78 next_pair 41 | [3, 9, 22]=-2.3835706192851553 [7, 9, 22]=-2.3851793873357687 [3, 15, 22]=-2.385220286975253\n\
+star SUM pj-i: pulled 45 candidates 78 next_pair 41 | [3, 9, 22]=-2.3835706192851553 [7, 9, 22]=-2.3851793873357687 [3, 15, 22]=-2.385220286975253\n\
+star MIN pj: pulled 10 candidates 5 next_pair 6 | [7, 9, 22]=-1.2195801041831216 [0, 14, 17]=-1.2239126080627258 [4, 12, 21]=-1.2261550769115643\n\
+star MIN pj-i: pulled 10 candidates 5 next_pair 6 | [7, 9, 22]=-1.2195801041831216 [0, 14, 17]=-1.2239126080627258 [4, 12, 21]=-1.2261550769115643\n\
+triangle SUM pj: pulled 384 candidates 512 next_pair 378 | [0, 11, 17]=-7.1525981811358115 [3, 15, 22]=-7.20031055623989 [0, 12, 17]=-7.262263011223534\n\
+triangle SUM pj-i: pulled 384 candidates 512 next_pair 378 | [0, 11, 17]=-7.1525981811358115 [3, 15, 22]=-7.20031055623989 [0, 12, 17]=-7.262263011223534\n\
+triangle MIN pj: pulled 78 candidates 5 next_pair 66 | [0, 12, 17]=-1.2333752038332666 [0, 11, 17]=-1.2441727362554318 [7, 10, 22]=-1.2460251444685628\n\
+triangle MIN pj-i: pulled 78 candidates 5 next_pair 66 | [0, 12, 17]=-1.2333752038332666 [0, 11, 17]=-1.2441727362554318 [7, 10, 22]=-1.2460251444685628\n\
+";
+
+    /// Answers and rank-join counters of PJ and PJ-i on a fixed fixture,
+    /// recorded before the driver stopped allocating per pull: a change to
+    /// the driver's bookkeeping may move time, never one of these values.
+    #[test]
+    fn answers_and_counters_are_pinned_on_a_fixed_fixture() {
+        use crate::multiway::{pj, pji, NWayConfig};
+        use crate::twoway::TwoWayAlgorithm;
+        use dht_graph::generators::{planted_partition, PlantedPartitionConfig};
+
+        let cg = planted_partition(&PlantedPartitionConfig {
+            communities: 3,
+            community_size: 8,
+            avg_internal_degree: 4.0,
+            avg_external_degree: 2.0,
+            weighted: true,
+            seed: 2014,
+        });
+        let mut observed = String::new();
+        for (shape, query) in [
+            ("chain", QueryGraph::chain(3)),
+            ("star", QueryGraph::star(3)),
+            ("triangle", QueryGraph::triangle()),
+        ] {
+            for aggregate in [Aggregate::Sum, Aggregate::Min] {
+                let config = NWayConfig::paper_default()
+                    .with_k(3)
+                    .with_aggregate(aggregate);
+                let sets = &cg.communities;
+                let two_way = TwoWayAlgorithm::BackwardIdjY;
+                let runs = [
+                    ("pj", pj::run(&cg.graph, &config, &query, sets, 2, two_way)),
+                    ("pj-i", pji::run(&cg.graph, &config, &query, sets, 2)),
+                ];
+                for (algorithm, out) in runs {
+                    let out = out.unwrap();
+                    let answers: Vec<String> = out
+                        .answers
+                        .iter()
+                        .map(|a| {
+                            let ids: Vec<u32> = a.nodes.iter().map(|n| n.0).collect();
+                            format!("{ids:?}={:?}", a.score)
+                        })
+                        .collect();
+                    observed.push_str(&format!(
+                        "{shape} {} {algorithm}: pulled {} candidates {} next_pair {} | {}\n",
+                        aggregate.name(),
+                        out.stats.pairs_pulled,
+                        out.stats.candidates_generated,
+                        out.stats.next_pair_calls,
+                        answers.join(" ")
+                    ));
+                }
+            }
+        }
+        assert_eq!(observed, PINNED, "observed:\n{observed}");
     }
 }

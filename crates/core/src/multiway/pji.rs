@@ -30,7 +30,7 @@ use super::{NWayConfig, NWayOutput};
 struct IncrementalProvider<'a> {
     graph: &'a Graph,
     lists: Vec<Vec<PairScore>>,
-    states: Vec<IncrementalState>,
+    states: Vec<IncrementalState<'a>>,
     floor: f64,
     /// Session context serving the refinement walks of `next_pair` from the
     /// warm column cache.
@@ -103,7 +103,7 @@ pub fn run_with_ctx(
     for &(i, j) in query.edges() {
         let p = &node_sets[i];
         let q = &node_sets[j];
-        let mut state = IncrementalState::new(config.params, config.d);
+        let mut state = IncrementalState::new(config.params, config.d, p, q);
         let out = bidj::top_k_with_ctx(
             graph,
             &two_way_config,

@@ -144,11 +144,17 @@ impl QueryGraph {
         count == self.node_sets
     }
 
-    /// Edges ordered breadth-first starting from `start_edge`, following
-    /// adjacency through shared node sets.  Used by the candidate expansion
-    /// of the rank join: processing edges in this order guarantees that each
-    /// edge (after the first) shares at least one node set with an already
-    /// processed edge, provided the query graph is connected.
+    /// Edges ordered from `start_edge` outwards, following adjacency through
+    /// shared node sets.  Used by the candidate expansion of the rank join:
+    /// processing edges in this order guarantees that each edge (after the
+    /// first) shares at least one node set with an already processed edge,
+    /// provided the query graph is connected.
+    ///
+    /// An edge between two node sets that are both covered already only
+    /// *filters* a partial answer (one score lookup), one that reaches a new
+    /// node set *multiplies* it; filters are placed as soon as they apply, so
+    /// a partial answer a filter rejects — in a cyclic query, say, the
+    /// reverse of the pulled edge — is dropped before it is fanned out.
     pub fn edges_in_expansion_order(&self, start_edge: usize) -> Vec<usize> {
         let m = self.edges.len();
         if m == 0 {
@@ -161,24 +167,25 @@ impl QueryGraph {
         let (a, b) = self.edges[start_edge];
         covered_sets[a] = true;
         covered_sets[b] = true;
-        // Repeatedly add an unplaced edge that touches a covered node set.
+        // Repeatedly add an unplaced edge: the first whose node sets are
+        // both covered, else the first that touches a covered one.
         loop {
-            let mut progressed = false;
-            for (idx, &(a, b)) in self.edges.iter().enumerate() {
-                if placed[idx] {
-                    continue;
-                }
-                if covered_sets[a] || covered_sets[b] {
-                    placed[idx] = true;
-                    covered_sets[a] = true;
-                    covered_sets[b] = true;
-                    order.push(idx);
-                    progressed = true;
-                }
-            }
-            if !progressed {
+            let covered = |idx: usize| {
+                let (a, b) = self.edges[idx];
+                (covered_sets[a], covered_sets[b])
+            };
+            let unplaced = || (0..m).filter(|&idx| !placed[idx]);
+            let next = unplaced()
+                .find(|&idx| covered(idx) == (true, true))
+                .or_else(|| unplaced().find(|&idx| covered(idx) != (false, false)));
+            let Some(idx) = next else {
                 break;
-            }
+            };
+            let (a, b) = self.edges[idx];
+            placed[idx] = true;
+            covered_sets[a] = true;
+            covered_sets[b] = true;
+            order.push(idx);
         }
         // Any remaining edges belong to other components; append them so the
         // caller still sees every edge (their candidates simply never complete).
@@ -273,6 +280,33 @@ mod tests {
             let mut sorted = order.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, (0..q.edge_count()).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn expansion_order_places_filters_before_fan_outs() {
+        // Triangle edges: (0,1), (1,0), (1,2), (2,1), (0,2), (2,0).  From any
+        // pulled edge the reverse edge only filters, so it comes second; one
+        // edge then reaches the third node set and the last three filter.
+        let q = QueryGraph::triangle();
+        for start in 0..q.edge_count() {
+            let order = q.edges_in_expansion_order(start);
+            let (a, b) = q.edges()[start];
+            assert_eq!(q.edges()[order[1]], (b, a), "start {start}: {order:?}");
+            let mut covered = [false; 3];
+            covered[a] = true;
+            covered[b] = true;
+            let fan_outs = order[1..]
+                .iter()
+                .filter(|&&e| {
+                    let (a, b) = q.edges()[e];
+                    let fans_out = !(covered[a] && covered[b]);
+                    covered[a] = true;
+                    covered[b] = true;
+                    fans_out
+                })
+                .count();
+            assert_eq!(fan_outs, 1, "start {start}: {order:?}");
         }
     }
 

@@ -9,6 +9,10 @@
 //! targets are processed in parallel chunks (bounding the number of
 //! materialised `|V_G|`-sized score vectors to one chunk) and merged in
 //! target order, so results are bit-identical to the serial run.
+//!
+//! The scan hands every score to [`TopKBuffer::insert`], which turns a pair
+//! below the buffer's `k`-th score away with one comparison: of the
+//! `|P|·|Q|` pairs scored only the few that can still win reach the heap.
 
 use dht_graph::{Graph, NodeId, NodeSet};
 use dht_rankjoin::TopKBuffer;

@@ -17,6 +17,10 @@
 //! `(p, q)` bound computed along the way is recorded in the mutable priority
 //! structure `F`, so that later `getNextNodePair` calls can be answered
 //! without restarting the join from scratch (Section VI-D).
+//!
+//! Both scan loops hand every score to [`TopKBuffer::insert`], which turns a
+//! pair below the buffer's `k`-th score away with one comparison — with
+//! `k ≪ |P|·|Q|` that is almost every pair.
 
 use dht_graph::{Graph, NodeId, NodeSet};
 use dht_rankjoin::TopKBuffer;
@@ -50,7 +54,7 @@ pub fn top_k(
     q: &NodeSet,
     k: usize,
     bound: BoundKind,
-    incremental: Option<&mut IncrementalState>,
+    incremental: Option<&mut IncrementalState<'_>>,
 ) -> TwoWayOutput {
     top_k_with_ctx(
         graph,
@@ -75,7 +79,7 @@ pub fn top_k_with_ctx(
     q: &NodeSet,
     k: usize,
     bound: BoundKind,
-    mut incremental: Option<&mut IncrementalState>,
+    mut incremental: Option<&mut IncrementalState<'_>>,
     ctx: &mut QueryCtx,
 ) -> TwoWayOutput {
     let params = &config.params;
@@ -94,13 +98,16 @@ pub fn top_k_with_ctx(
         }
         BoundKind::X => None,
     };
-    if let (Some(state), Some(table)) = (incremental.as_deref_mut(), y_table.as_deref()) {
-        state.set_y_table(table.clone());
-        state.set_engine(config.engine);
+    if let Some(state) = incremental.as_deref_mut() {
+        assert!(state.is_over(p, q), "F was laid out for other node sets");
+        if let Some(table) = &y_table {
+            state.set_y_table(table.clone());
+            state.set_engine(config.engine);
+        }
     }
 
-    let p_members: Vec<NodeId> = p.iter().collect();
-    let mut alive: Vec<NodeId> = q.iter().collect();
+    let p_members = p.members();
+    let mut alive: Vec<NodeId> = q.members().to_vec();
     stats.q_remaining_per_iteration.push(alive.len());
 
     let bound_at = |l: usize, qn: NodeId| -> f64 {
@@ -110,10 +117,13 @@ pub fn top_k_with_ctx(
         }
     };
 
+    // One buffer and one bound list serve every level and the final pass.
+    let mut buffer: TopKBuffer<(u32, u32)> = TopKBuffer::new(k);
+    let mut uppers: Vec<(NodeId, f64)> = Vec::with_capacity(alive.len());
     let mut l = 1usize;
     while l < d && alive.len() > 1 {
-        let mut buffer: TopKBuffer<(u32, u32)> = TopKBuffer::new(k);
-        let mut uppers: Vec<(NodeId, f64)> = Vec::with_capacity(alive.len());
+        buffer.clear();
+        uppers.clear();
         // The l-step backward walks of the surviving targets run (possibly
         // in parallel) on the shared column streamer; bound bookkeeping
         // consumes them in target order, identical to a serial run.
@@ -122,7 +132,8 @@ pub fn top_k_with_ctx(
             stats.walk_steps += l as u64;
             let u_bound = bound_at(l, qn);
             let mut p_max = params.min_score();
-            for &pn in &p_members {
+            let mut column = incremental.as_deref_mut().map(|s| s.column_mut(qn));
+            for (i, &pn) in p_members.iter().enumerate() {
                 if pn == qn {
                     continue;
                 }
@@ -134,36 +145,40 @@ pub fn top_k_with_ctx(
                 if lower > p_max {
                     p_max = lower;
                 }
-                if let Some(state) = incremental.as_deref_mut() {
-                    state.record(pn, qn, lower, lower + u_bound, l);
+                if let Some(column) = column.as_deref_mut() {
+                    column[i].record(lower, lower + u_bound, l);
                 }
             }
             uppers.push((qn, p_max + u_bound));
         });
         if let Some(tk) = buffer.kth_score() {
-            alive = uppers
-                .iter()
-                .filter(|&&(_, upper)| upper >= tk)
-                .map(|&(qn, _)| qn)
-                .collect();
+            alive.clear();
+            alive.extend(
+                uppers
+                    .iter()
+                    .filter(|&&(_, upper)| upper >= tk)
+                    .map(|&(qn, _)| qn),
+            );
         }
         stats.q_remaining_per_iteration.push(alive.len());
         l *= 2;
     }
 
     // Final pass: exact d-step scores for the surviving targets.
-    let mut buffer = TopKBuffer::new(k);
+    buffer.clear();
     for_each_backward_column(graph, config, d, &alive, ctx, |qn, scores| {
         stats.walk_invocations += 1;
         stats.walk_steps += d as u64;
-        for &pn in &p_members {
+        let mut column = incremental.as_deref_mut().map(|s| s.column_mut(qn));
+        for (i, &pn) in p_members.iter().enumerate() {
             if pn == qn {
                 continue;
             }
+            let score = scores[pn.index()];
             stats.pairs_scored += 1;
-            buffer.insert(scores[pn.index()], (pn.0, qn.0));
-            if let Some(state) = incremental.as_deref_mut() {
-                state.record_exact(pn, qn, scores[pn.index()]);
+            buffer.insert(score, (pn.0, qn.0));
+            if let Some(column) = column.as_deref_mut() {
+                column[i].record(score, score, d);
             }
         }
     });
@@ -272,7 +287,7 @@ mod tests {
         let cfg = TwoWayConfig::paper_default();
         let p = cg.community(0).clone();
         let q = cg.community(1).clone();
-        let mut state = IncrementalState::new(cfg.params, cfg.d);
+        let mut state = IncrementalState::new(cfg.params, cfg.d, &p, &q);
         let out = top_k(&cg.graph, &cfg, &p, &q, 8, BoundKind::Y, Some(&mut state));
         assert_eq!(out.pairs.len(), 8);
         // every (p, q) pair has an entry recorded

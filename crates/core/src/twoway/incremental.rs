@@ -20,10 +20,22 @@
 //! serve the entire `|P|·|Q|` ranking without ever falling back to a fresh
 //! top-`m'` join — this is what makes PJ-i cheap when the rank join keeps
 //! asking for "just one more pair".
+//!
+//! # Layout
+//!
+//! `F` is the paper's `|P| × |Q|` array, stored as one flat slice of
+//! [`FEntry`] cells addressed by **set position**: the cell of
+//! `(p_i, q_j)` is `j·|P| + i`, so everything a backward walk from `q_j`
+//! touches — one [`IncrementalState::column_mut`] — is contiguous.
+//! Recording a bound is an array store, refining a target walks its
+//! column, and finding the best candidate is one pass over the slice; no
+//! hashing anywhere.  A cell nothing was recorded for — the `p == q` cells
+//! of overlapping sets, which the join skips — stays at level `0` and is
+//! never a candidate; emitted pairs are a bitmap beside the slice.
 
-use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-use dht_graph::{Graph, NodeId};
+use dht_graph::{Graph, NodeId, NodeSet};
 use dht_walks::bounds::{x_upper_bound, YBoundTable};
 use dht_walks::{DhtParams, QueryCtx, WalkEngine};
 
@@ -37,47 +49,85 @@ pub struct FEntry {
     /// Upper bound of `h_d(p, q)` (`h_l + U_l⁺`).
     pub upper: f64,
     /// Walk depth `l` at which the bounds were computed; `l = d` means the
-    /// score is exact.
+    /// score is exact, `0` that nothing has been recorded for the pair.
     pub level: usize,
 }
 
-/// The mutable priority structure `F` plus the bookkeeping needed to emit
-/// pairs in descending score order.
+impl FEntry {
+    /// A cell nothing has been recorded for.
+    const ABSENT: FEntry = FEntry {
+        lower: 0.0,
+        upper: 0.0,
+        level: 0,
+    };
+
+    /// Records bounds computed at depth `level ≥ 1`; a cell is only
+    /// replaced by deeper (tighter) information, mirroring the "supersede
+    /// if `e.l < s.l`" rule of the paper.
+    #[inline]
+    pub fn record(&mut self, lower: f64, upper: f64, level: usize) {
+        if self.level < level {
+            *self = FEntry {
+                lower,
+                upper,
+                level,
+            };
+        }
+    }
+}
+
+/// The mutable priority structure `F` over `P × Q` plus the bookkeeping
+/// needed to emit pairs in descending score order.
 #[derive(Debug, Clone)]
-pub struct IncrementalState {
+pub struct IncrementalState<'a> {
     params: DhtParams,
     d: usize,
     /// Walk engine of the refinement walks (installed by the originating
     /// B-IDJ run so refinements match the join's propagation engine).
     engine: WalkEngine,
-    entries: HashMap<(u32, u32), FEntry>,
-    emitted: HashSet<(u32, u32)>,
-    y_table: Option<YBoundTable>,
+    p: &'a NodeSet,
+    q: &'a NodeSet,
+    /// `|Q|` columns of `|P|` cells each (see the module's *Layout*).
+    entries: Vec<FEntry>,
+    /// One bit per cell: the pair was already returned to the caller.
+    emitted: Vec<u64>,
+    /// The originating run's `Y_l⁺` table, shared with the context's cache.
+    y_table: Option<Arc<YBoundTable>>,
     /// Number of backward walks run by refinement (exposed for stats).
     refinement_walks: u64,
     /// Total refinement walk steps.
     refinement_steps: u64,
 }
 
-impl IncrementalState {
-    /// Creates an empty structure for the given parameters and walk depth.
-    pub fn new(params: DhtParams, d: usize) -> Self {
+impl<'a> IncrementalState<'a> {
+    /// Creates the structure for `P × Q` with no bound recorded yet.
+    pub fn new(params: DhtParams, d: usize, p: &'a NodeSet, q: &'a NodeSet) -> Self {
+        let cells = p.len() * q.len();
         IncrementalState {
             params,
             d: d.max(1),
             engine: WalkEngine::default(),
-            entries: HashMap::new(),
-            emitted: HashSet::new(),
+            p,
+            q,
+            entries: vec![FEntry::ABSENT; cells],
+            emitted: vec![0; cells.div_ceil(64)],
             y_table: None,
             refinement_walks: 0,
             refinement_steps: 0,
         }
     }
 
+    /// Whether the structure was laid out for exactly these operands (same
+    /// members in the same order).
+    pub fn is_over(&self, p: &NodeSet, q: &NodeSet) -> bool {
+        let same = |a: &NodeSet, b: &NodeSet| a.len() == b.len() && a.signature() == b.signature();
+        same(self.p, p) && same(self.q, q)
+    }
+
     /// Installs the `Y_l⁺` table of the originating B-IDJ-Y run so that
     /// refinements can use the tighter bound; without it the `X_l⁺` bound is
     /// used.
-    pub fn set_y_table(&mut self, table: YBoundTable) {
+    pub fn set_y_table(&mut self, table: Arc<YBoundTable>) {
         self.y_table = Some(table);
     }
 
@@ -89,18 +139,18 @@ impl IncrementalState {
 
     /// Number of recorded pairs.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.iter().filter(|e| e.level > 0).count()
     }
 
     /// Whether no pair has been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Number of pairs already emitted (the top-`m` list plus any
     /// `next_pair` results).
     pub fn emitted_count(&self) -> usize {
-        self.emitted.len()
+        self.emitted.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Backward walks performed by refinement so far.
@@ -113,82 +163,85 @@ impl IncrementalState {
         self.refinement_steps
     }
 
-    /// Looks up the entry of a pair (mainly for tests).
+    /// Cell index of a pair of members.
+    fn cell(&self, p: NodeId, q: NodeId) -> Option<usize> {
+        Some(self.q.position(q)? * self.p.len() + self.p.position(p)?)
+    }
+
+    /// The pair of a cell index.
+    fn pair(&self, cell: usize) -> (NodeId, NodeId) {
+        let rows = self.p.len();
+        (self.p.members()[cell % rows], self.q.members()[cell / rows])
+    }
+
+    /// Looks up the entry of a pair, if one was recorded (mainly for tests).
     pub fn entry(&self, p: NodeId, q: NodeId) -> Option<FEntry> {
-        self.entries.get(&(p.0, q.0)).copied()
+        let entry = self.entries[self.cell(p, q)?];
+        (entry.level > 0).then_some(entry)
     }
 
-    /// Records bounds computed at depth `level`; entries are only replaced
-    /// by deeper (tighter) information, mirroring the "supersede if
-    /// `e.l < s.l`" rule of the paper.
-    pub fn record(&mut self, p: NodeId, q: NodeId, lower: f64, upper: f64, level: usize) {
-        let key = (p.0, q.0);
-        match self.entries.get_mut(&key) {
-            Some(existing) if existing.level >= level => {}
-            Some(existing) => {
-                *existing = FEntry {
-                    lower,
-                    upper,
-                    level,
-                }
-            }
-            None => {
-                self.entries.insert(
-                    key,
-                    FEntry {
-                        lower,
-                        upper,
-                        level,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Records an exact score (depth `d`).
-    pub fn record_exact(&mut self, p: NodeId, q: NodeId, score: f64) {
-        self.record(p, q, score, score, self.d);
+    /// The cells of every pair whose target is `q`, one per member of `P` in
+    /// set order — what a backward walk from `q` [`FEntry::record`]s into.
+    ///
+    /// # Panics
+    /// Panics when `q` is not a member of the state's `Q`.
+    pub fn column_mut(&mut self, q: NodeId) -> &mut [FEntry] {
+        let rows = self.p.len();
+        let j = self.q.position(q).expect("target is a member of Q");
+        &mut self.entries[j * rows..(j + 1) * rows]
     }
 
     /// Marks a pair as already returned to the caller.
+    ///
+    /// # Panics
+    /// Panics when `(p, q)` is not a pair of `P × Q`.
     pub fn mark_emitted(&mut self, p: NodeId, q: NodeId) {
-        self.emitted.insert((p.0, q.0));
+        let cell = self.cell(p, q).expect("pair of P × Q");
+        self.set_emitted(cell);
+    }
+
+    fn set_emitted(&mut self, cell: usize) {
+        self.emitted[cell / 64] |= 1 << (cell % 64);
+    }
+
+    fn is_emitted(&self, cell: usize) -> bool {
+        (self.emitted[cell / 64] >> (cell % 64)) & 1 == 1
     }
 
     /// Finds the non-emitted entry with the largest upper bound and the
     /// largest upper bound among the rest.
     ///
-    /// Ties on the upper bound are broken by the smallest `(p, q)` key, so
-    /// the selection — and therefore the whole PJ-i emission order — is a
-    /// pure function of the recorded bounds, independent of `HashMap`
-    /// iteration order (which is randomized per process).
-    fn best_candidate(&self) -> Option<((u32, u32), FEntry, f64)> {
-        let mut best: Option<((u32, u32), FEntry)> = None;
+    /// Ties on the upper bound are broken by the smallest `(p, q)` node-id
+    /// pair, so the selection — and therefore the whole PJ-i emission
+    /// order — is a pure function of the recorded bounds, whatever order
+    /// the sets list their members in.
+    fn best_candidate(&self) -> Option<(usize, FEntry, f64)> {
+        let mut best: Option<(usize, (NodeId, NodeId), FEntry)> = None;
         let mut second = f64::NEG_INFINITY;
-        for (&key, &entry) in &self.entries {
-            if self.emitted.contains(&key) {
+        for (cell, &entry) in self.entries.iter().enumerate() {
+            if entry.level == 0 || self.is_emitted(cell) {
                 continue;
             }
             match best {
-                None => best = Some((key, entry)),
-                Some((best_key, current)) => {
+                None => best = Some((cell, self.pair(cell), entry)),
+                Some((_, best_pair, current)) => {
                     if entry.upper > current.upper
-                        || (entry.upper == current.upper && key < best_key)
+                        || (entry.upper == current.upper && self.pair(cell) < best_pair)
                     {
                         second = current.upper;
-                        best = Some((key, entry));
+                        best = Some((cell, self.pair(cell), entry));
                     } else if entry.upper > second {
                         second = entry.upper;
                     }
                 }
             }
         }
-        best.map(|(key, entry)| (key, entry, second))
+        best.map(|(cell, _, entry)| (cell, entry, second))
     }
 
     /// Re-runs a backward walk from `target` at depth `level` and tightens
-    /// every entry whose target matches.  The walk is served from the
-    /// context's column cache when warm.
+    /// every entry of its column.  The walk is served from the context's
+    /// column cache when warm.
     fn refine_target(&mut self, graph: &Graph, target: NodeId, level: usize, ctx: &mut QueryCtx) {
         let level = level.clamp(1, self.d);
         let scores = ctx.backward_column(graph, &self.params, target, level, self.engine);
@@ -202,16 +255,12 @@ impl IncrementalState {
                 None => x_upper_bound(&self.params, level),
             }
         };
-        for (key, entry) in self.entries.iter_mut() {
-            if key.1 != target.0 || entry.level >= level {
-                continue;
+        let sources = self.p;
+        for (entry, source) in self.column_mut(target).iter_mut().zip(sources) {
+            if entry.level > 0 {
+                let lower = scores[source.index()];
+                entry.record(lower, lower + u_bound, level);
             }
-            let lower = scores[key.0 as usize];
-            *entry = FEntry {
-                lower,
-                upper: lower + u_bound,
-                level,
-            };
         }
     }
 
@@ -226,13 +275,13 @@ impl IncrementalState {
     /// walks are served from (and fill) the context's column cache.
     pub fn next_pair_with_ctx(&mut self, graph: &Graph, ctx: &mut QueryCtx) -> Option<PairScore> {
         loop {
-            let (key, entry, second_upper) = self.best_candidate()?;
+            let (cell, entry, second_upper) = self.best_candidate()?;
+            let (source, target) = self.pair(cell);
             if entry.level >= self.d {
                 // Exact and maximal among the remaining upper bounds: emit.
-                self.emitted.insert(key);
-                return Some(PairScore::new(NodeId(key.0), NodeId(key.1), entry.lower));
+                self.set_emitted(cell);
+                return Some(PairScore::new(source, target, entry.lower));
             }
-            let target = NodeId(key.1);
             let confident = entry.lower >= second_upper;
             let new_level = if confident {
                 self.d
@@ -253,18 +302,26 @@ mod tests {
 
     #[test]
     fn record_keeps_the_deepest_information() {
-        let mut state = IncrementalState::new(DhtParams::paper_default(), 8);
+        let sources = NodeSet::new("P", [NodeId(7), NodeId(1)]);
+        let targets = NodeSet::new("Q", [NodeId(9), NodeId(2)]);
+        let mut state = IncrementalState::new(DhtParams::paper_default(), 8, &sources, &targets);
         let (p, q) = (NodeId(1), NodeId(2));
-        state.record(p, q, 0.1, 0.5, 1);
-        state.record(p, q, 0.2, 0.3, 2);
+        assert_eq!(state.entry(p, q), None);
+        // NodeId(1) is the second member of P: cell 1 of target 2's column.
+        state.column_mut(q)[1].record(0.1, 0.5, 1);
+        state.column_mut(q)[1].record(0.2, 0.3, 2);
         assert_eq!(state.entry(p, q).unwrap().level, 2);
         // shallower information never overwrites deeper information
-        state.record(p, q, 0.0, 1.0, 1);
+        state.column_mut(q)[1].record(0.0, 1.0, 1);
         assert_eq!(state.entry(p, q).unwrap().lower, 0.2);
-        state.record_exact(p, q, 0.25);
+        state.column_mut(q)[1].record(0.25, 0.25, 8);
         let e = state.entry(p, q).unwrap();
         assert_eq!(e.level, 8);
         assert_eq!(e.lower, e.upper);
+        // one pair recorded, none of its neighbours touched
+        assert_eq!(state.len(), 1);
+        assert_eq!(state.entry(NodeId(7), q), None);
+        assert_eq!(state.entry(p, NodeId(9)), None);
     }
 
     #[test]
@@ -283,7 +340,7 @@ mod tests {
         let p = cg.community(0).clone();
         let q = cg.community(1).clone();
         let m = 10;
-        let mut state = IncrementalState::new(cfg.params, cfg.d);
+        let mut state = IncrementalState::new(cfg.params, cfg.d, &p, &q);
         let top_m = bidj::top_k(&cg.graph, &cfg, &p, &q, m, BoundKind::Y, Some(&mut state));
 
         let total = 40usize;
@@ -313,7 +370,7 @@ mod tests {
         let cfg = TwoWayConfig::paper_default();
         let p = NodeSet::new("P", [NodeId(0), NodeId(1)]);
         let q = NodeSet::new("Q", [NodeId(5), NodeId(6)]);
-        let mut state = IncrementalState::new(cfg.params, cfg.d);
+        let mut state = IncrementalState::new(cfg.params, cfg.d, &p, &q);
         let out = bidj::top_k(&g, &cfg, &p, &q, 2, BoundKind::Y, Some(&mut state));
         assert_eq!(out.pairs.len(), 2);
         let mut remaining = 0;
@@ -337,7 +394,7 @@ mod tests {
         let cfg = TwoWayConfig::paper_default();
         let p = cg.community(0).clone();
         let q = cg.community(1).clone();
-        let mut state = IncrementalState::new(cfg.params, cfg.d);
+        let mut state = IncrementalState::new(cfg.params, cfg.d, &p, &q);
         bidj::top_k(&cg.graph, &cfg, &p, &q, 3, BoundKind::Y, Some(&mut state));
         for _ in 0..5 {
             state.next_pair(&cg.graph);
@@ -350,7 +407,9 @@ mod tests {
     #[test]
     fn empty_state_yields_nothing() {
         let g = erdos_renyi(5, 8, 1);
-        let mut state = IncrementalState::new(DhtParams::paper_default(), 4);
+        let p = NodeSet::new("P", [NodeId(0), NodeId(1)]);
+        let q = NodeSet::new("Q", [NodeId(1), NodeId(2)]);
+        let mut state = IncrementalState::new(DhtParams::paper_default(), 4, &p, &q);
         assert!(state.is_empty());
         assert!(state.next_pair(&g).is_none());
     }

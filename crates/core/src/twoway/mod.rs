@@ -205,19 +205,19 @@ pub(crate) fn for_each_backward_column(
     );
 }
 
-/// Builds the final sorted pair list from a top-k buffer, breaking score
-/// ties deterministically.
+/// Builds the final sorted pair list from a top-k buffer.  The buffer's
+/// retention order (score descending, `(left, right)` ascending) is the
+/// order of [`crate::answer::sort_pairs`], so its sorted output is final.
 pub(crate) fn finalize_pairs(
     buffer: dht_rankjoin::TopKBuffer<(u32, u32)>,
     trace: &dht_walks::Trace,
 ) -> Vec<PairScore> {
     let span = trace.span(dht_walks::Phase::TopK);
-    let mut pairs: Vec<PairScore> = buffer
+    let pairs: Vec<PairScore> = buffer
         .into_sorted_desc()
         .into_iter()
         .map(|(score, (l, r))| PairScore::new(dht_graph::NodeId(l), dht_graph::NodeId(r), score))
         .collect();
-    crate::answer::sort_pairs(&mut pairs);
     drop(span);
     pairs
 }

@@ -50,7 +50,7 @@ pub mod subgraph;
 pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use graph::Graph;
-pub use hash::fnv1a;
+pub use hash::{fnv1a, fnv1a_fold, MixBuildHasher, MixHasher};
 pub use node::NodeId;
 pub use nodeset::NodeSet;
 

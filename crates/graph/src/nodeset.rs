@@ -2,9 +2,12 @@
 //!
 //! A [`NodeSet`] is a named, duplicate-free, ordered collection of node ids
 //! (`R_i ⊆ V_G` in the paper).  Iteration order is the insertion order used
-//! when the set was created; membership tests are `O(1)` amortised via an
-//! auxiliary sorted index.
+//! when the set was created; membership and position lookups are
+//! `O(log n)` binary searches over an auxiliary index of positions sorted by
+//! node id, and the set's [`NodeSet::signature`] is computed once, at
+//! construction.
 
+use crate::hash::{fnv1a, fnv1a_fold};
 use crate::node::NodeId;
 
 /// A named subset of the nodes of a graph, used as one operand of a join.
@@ -12,36 +15,47 @@ use crate::node::NodeId;
 pub struct NodeSet {
     name: String,
     members: Vec<NodeId>,
-    sorted: Vec<NodeId>,
+    /// Positions into `members`, sorted by the member's id.
+    by_id: Vec<u32>,
+    signature: u64,
 }
 
 impl NodeSet {
     /// Creates a node set from an iterator of node ids.  Duplicates are
-    /// removed, keeping the first occurrence.
+    /// removed, keeping the first occurrence.  `O(n log n)`.
     pub fn new(name: impl Into<String>, nodes: impl IntoIterator<Item = NodeId>) -> Self {
-        let mut members: Vec<NodeId> = Vec::new();
-        let mut seen: Vec<NodeId> = Vec::new();
-        for n in nodes {
-            if seen.binary_search(&n).is_err() {
-                let pos = seen.binary_search(&n).unwrap_err();
-                seen.insert(pos, n);
-                members.push(n);
+        let mut members: Vec<NodeId> = nodes.into_iter().collect();
+        let listed = u32::try_from(members.len()).expect("a node set lists at most u32::MAX ids");
+        let mut by_id: Vec<u32> = (0..listed).collect();
+        // By id, then by input position: the first of each run of equal ids
+        // is that id's first occurrence.
+        by_id.sort_unstable_by_key(|&at| (members[at as usize], at));
+        by_id.dedup_by_key(|at| members[*at as usize]);
+        if by_id.len() < members.len() {
+            // The survivors' input positions, ascending: a survivor's rank
+            // among them is its position in the set.
+            let mut kept = by_id.clone();
+            kept.sort_unstable();
+            members = kept.iter().map(|&at| members[at as usize]).collect();
+            for at in &mut by_id {
+                *at = kept.binary_search(at).expect("every survivor is listed") as u32;
             }
+        }
+        let mut signature = fnv1a(&(members.len() as u64).to_le_bytes());
+        for node in &members {
+            signature = fnv1a_fold(signature, &node.0.to_le_bytes());
         }
         NodeSet {
             name: name.into(),
             members,
-            sorted: seen,
+            by_id,
+            signature,
         }
     }
 
     /// Creates an empty node set.
     pub fn empty(name: impl Into<String>) -> Self {
-        NodeSet {
-            name: name.into(),
-            members: Vec::new(),
-            sorted: Vec::new(),
-        }
+        NodeSet::new(name, [])
     }
 
     /// The set's name (e.g. "DB", "AI", "SYS").
@@ -71,15 +85,24 @@ impl NodeSet {
 
     /// Membership test (binary search over the sorted index).
     pub fn contains(&self, node: NodeId) -> bool {
-        self.sorted.binary_search(&node).is_ok()
+        self.position(node).is_some()
     }
 
-    /// Position of `node` in insertion order, if it is a member.
+    /// Position of `node` in insertion order, if it is a member (binary
+    /// search over the sorted index).
     pub fn position(&self, node: NodeId) -> Option<usize> {
-        if !self.contains(node) {
-            return None;
-        }
-        self.members.iter().position(|&m| m == node)
+        self.by_id
+            .binary_search_by_key(&node, |&at| self.members[at as usize])
+            .ok()
+            .map(|found| self.by_id[found] as usize)
+    }
+
+    /// Order-sensitive 64-bit signature of the membership (FNV-1a over the
+    /// length and the ids in insertion order; the name is not part of it).
+    /// Computed once at construction, so keying a cache on a node set costs
+    /// a field read however large the set is.
+    pub fn signature(&self) -> u64 {
+        self.signature
     }
 
     /// Returns a new node set containing only the members also present in
@@ -133,6 +156,43 @@ mod tests {
         assert!(!s.contains(NodeId(25)));
         assert_eq!(s.position(NodeId(30)), Some(2));
         assert_eq!(s.position(NodeId(99)), None);
+    }
+
+    #[test]
+    fn position_is_the_first_occurrence_rank_on_unsorted_input_with_duplicates() {
+        // Reference: the quadratic definition — keep a node the first time
+        // it is seen; its position is how many were kept before it.
+        let input: Vec<u32> = (0..500u32).map(|i| (i * 7919 + i / 3) % 97).collect();
+        let mut expected: Vec<NodeId> = Vec::new();
+        for &n in &input {
+            if !expected.contains(&NodeId(n)) {
+                expected.push(NodeId(n));
+            }
+        }
+        let s = NodeSet::new("P", ids(&input));
+        assert_eq!(s.members(), &expected[..]);
+        for (at, &node) in expected.iter().enumerate() {
+            assert_eq!(s.position(node), Some(at));
+        }
+        assert_eq!(s.position(NodeId(97)), None);
+    }
+
+    #[test]
+    fn signature_is_order_and_content_sensitive_and_ignores_name_and_duplicates() {
+        let a = NodeSet::new("A", ids(&[1, 2, 3]));
+        assert_ne!(
+            a.signature(),
+            NodeSet::new("A", ids(&[3, 2, 1])).signature()
+        );
+        assert_ne!(a.signature(), NodeSet::new("A", ids(&[1, 2])).signature());
+        assert_eq!(
+            a.signature(),
+            NodeSet::new("B", ids(&[1, 2, 1, 3])).signature()
+        );
+        assert_eq!(
+            NodeSet::empty("E").signature(),
+            NodeSet::new("E", ids(&[])).signature()
+        );
     }
 
     #[test]

@@ -18,16 +18,22 @@
 /// threshold `τ`.
 #[derive(Debug, Clone)]
 pub struct CornerBound {
-    first: Vec<Option<f64>>,
-    last: Vec<Option<f64>>,
+    /// First and last score per stream; meaningful once `seen` is set.
+    first: Vec<f64>,
+    last: Vec<f64>,
+    seen: Vec<bool>,
+    /// Streams neither observed nor exhausted yet.
+    unseen: usize,
 }
 
 impl CornerBound {
     /// Creates a tracker for `streams` input streams.
     pub fn new(streams: usize) -> Self {
         CornerBound {
-            first: vec![None; streams],
-            last: vec![None; streams],
+            first: vec![0.0; streams],
+            last: vec![0.0; streams],
+            seen: vec![false; streams],
+            unseen: streams,
         }
     }
 
@@ -41,60 +47,61 @@ impl CornerBound {
     /// Scores must be pulled in non-increasing order per stream for the bound
     /// to be valid; this is asserted in debug builds.
     pub fn observe(&mut self, stream: usize, score: f64) {
-        if self.first[stream].is_none() {
-            self.first[stream] = Some(score);
-        }
         debug_assert!(
-            self.last[stream].is_none_or(|prev| score <= prev + 1e-12),
+            !self.seen[stream] || score <= self.last[stream] + 1e-12,
             "stream {stream} produced scores out of order"
         );
-        self.last[stream] = Some(score);
+        self.see(stream, score);
+        self.last[stream] = score;
+    }
+
+    /// Sets `stream`'s first score if it has none yet.
+    fn see(&mut self, stream: usize, score: f64) {
+        if !self.seen[stream] {
+            self.seen[stream] = true;
+            self.unseen -= 1;
+            self.first[stream] = score;
+        }
     }
 
     /// The first (largest) score observed on `stream`, if any.
     pub fn first_score(&self, stream: usize) -> Option<f64> {
-        self.first[stream]
+        self.seen[stream].then(|| self.first[stream])
     }
 
     /// The most recent score observed on `stream`, if any.
     pub fn last_score(&self, stream: usize) -> Option<f64> {
-        self.last[stream]
+        self.seen[stream].then(|| self.last[stream])
     }
 
     /// Marks a stream as exhausted at the lowest possible score, tightening
     /// the bound: corners using this stream's "last" value become the
     /// aggregate with `floor` substituted.
     pub fn exhaust(&mut self, stream: usize, floor: f64) {
-        if self.first[stream].is_none() {
-            self.first[stream] = Some(floor);
-        }
-        self.last[stream] = Some(floor);
+        self.see(stream, floor);
+        self.last[stream] = floor;
     }
 
     /// Evaluates the corner-bound threshold `τ` for a monotone aggregate.
     ///
     /// `aggregate` receives one score per stream.  If any stream has not been
     /// observed at all yet, the threshold is `+∞` (nothing can be bounded).
-    pub fn threshold(&self, aggregate: impl Fn(&[f64]) -> f64) -> f64 {
-        let s = self.streams();
-        if s == 0 {
+    ///
+    /// Each corner is evaluated in place — stream `i`'s first score is
+    /// swapped for its last one, the aggregate reads the slice, the first
+    /// score is put back — so a call allocates nothing; hence `&mut self`.
+    pub fn threshold(&mut self, aggregate: impl Fn(&[f64]) -> f64) -> f64 {
+        if self.first.is_empty() {
             return f64::NEG_INFINITY;
         }
-        if self.first.iter().any(Option::is_none) {
+        if self.unseen > 0 {
             return f64::INFINITY;
         }
-        let firsts: Vec<f64> = self
-            .first
-            .iter()
-            .map(|f| f.expect("checked above"))
-            .collect();
         let mut tau = f64::NEG_INFINITY;
-        let mut scratch = firsts.clone();
-        for i in 0..s {
-            let last_i = self.last[i].expect("observe sets first and last together");
-            scratch.copy_from_slice(&firsts);
-            scratch[i] = last_i;
-            let corner = aggregate(&scratch);
+        for i in 0..self.first.len() {
+            let first_i = std::mem::replace(&mut self.first[i], self.last[i]);
+            let corner = aggregate(&self.first);
+            self.first[i] = first_i;
             if corner > tau {
                 tau = corner;
             }
@@ -225,7 +232,7 @@ mod tests {
 
     #[test]
     fn zero_streams_threshold_is_negative_infinity() {
-        let cb = CornerBound::new(0);
+        let mut cb = CornerBound::new(0);
         assert_eq!(cb.threshold(sum), f64::NEG_INFINITY);
     }
 }

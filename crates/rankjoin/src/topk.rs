@@ -48,10 +48,19 @@ impl<T: Ord> Ord for Entry<T> {
 /// multiset — independent of insertion order.  That property is what lets
 /// a sharded fleet merge per-shard top-k lists into exactly the answer a
 /// single union run produces.
+///
+/// Almost every candidate of a join loses on score alone (`k ≪ |P|·|Q|`),
+/// so the buffer keeps its `k`-th score in a field of its own
+/// ([`TopKBuffer::threshold`]) and [`TopKBuffer::insert`] turns such a
+/// candidate away with one float comparison, before an entry is built or
+/// the heap is touched.
 #[derive(Debug, Clone)]
 pub struct TopKBuffer<T> {
     k: usize,
     heap: BinaryHeap<Entry<T>>,
+    /// Score of the worst retained entry once `k` are held, `-∞` before
+    /// (`+∞` when `k = 0`): what [`TopKBuffer::threshold`] returns.
+    threshold: f64,
 }
 
 impl<T: Ord> TopKBuffer<T> {
@@ -60,6 +69,23 @@ impl<T: Ord> TopKBuffer<T> {
         TopKBuffer {
             k,
             heap: BinaryHeap::with_capacity(k + 1),
+            threshold: Self::empty_threshold(k),
+        }
+    }
+
+    /// Empties the buffer, keeping `k` and the allocation: what a loop that
+    /// fills one buffer per round calls between rounds.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.threshold = Self::empty_threshold(self.k);
+    }
+
+    /// [`TopKBuffer::threshold`] of a buffer holding nothing.
+    fn empty_threshold(k: usize) -> f64 {
+        if k == 0 {
+            f64::INFINITY
+        } else {
+            f64::NEG_INFINITY
         }
     }
 
@@ -101,15 +127,34 @@ impl<T: Ord> TopKBuffer<T> {
         }
     }
 
+    /// The score a candidate must reach to be retained: a `score` with
+    /// `score < threshold()` is rejected by [`TopKBuffer::insert`] whatever
+    /// its item.  `-∞` while fewer than `k` items are held, the `k`-th
+    /// score afterwards; it never falls.  Callers that would have to build
+    /// an expensive item read it first and skip the build.
+    ///
+    /// The comparison is a strict IEEE `<`, so a tie with the `k`-th score
+    /// (`-0.0` against `+0.0` included) and a NaN are *not* below the
+    /// threshold: they take the full two-key comparison, and the retained
+    /// set stays a pure function of the candidate multiset.
+    #[inline]
+    pub fn threshold(&self) -> f64 {
+        self.threshold
+    }
+
     /// Inserts an item.  Returns `true` if the item was retained (it may
     /// still be evicted by later insertions ranking above it).
+    #[inline]
     pub fn insert(&mut self, score: f64, item: T) -> bool {
-        if self.k == 0 {
+        if score < self.threshold || self.k == 0 {
             return false;
         }
         let entry = Entry { score, item };
         if self.heap.len() < self.k {
             self.heap.push(entry);
+            if self.heap.len() == self.k {
+                self.threshold = self.heap.peek().expect("k > 0 entries held").score;
+            }
             return true;
         }
         // Buffer full: replace the worst retained entry iff the new one
@@ -123,6 +168,7 @@ impl<T: Ord> TopKBuffer<T> {
         if better {
             self.heap.pop();
             self.heap.push(entry);
+            self.threshold = self.heap.peek().expect("k > 0 entries held").score;
             true
         } else {
             false
@@ -131,9 +177,12 @@ impl<T: Ord> TopKBuffer<T> {
 
     /// Consumes the buffer and returns its `(score, item)` pairs sorted by
     /// the retention order: descending score, ties in ascending item order.
+    ///
+    /// The order is total, so the in-place unstable sort returns what a
+    /// stable one would (entries it may swap are equal in both keys).
     pub fn into_sorted_desc(self) -> Vec<(f64, T)> {
         let mut items: Vec<Entry<T>> = self.heap.into_vec();
-        items.sort_by(|a, b| {
+        items.sort_unstable_by(|a, b| {
             b.score
                 .total_cmp(&a.score)
                 .then_with(|| a.item.cmp(&b.item))
@@ -172,6 +221,28 @@ mod tests {
         assert_eq!(buf.kth_score(), Some(4.0));
         buf.insert(5.0, 2);
         assert_eq!(buf.kth_score(), Some(5.0));
+    }
+
+    #[test]
+    fn a_cleared_buffer_behaves_like_a_new_one() {
+        let mut buf = TopKBuffer::new(2);
+        for (s, v) in [(3.0, 0), (9.0, 1), (5.0, 2)] {
+            buf.insert(s, v);
+        }
+        assert_eq!(buf.threshold(), 5.0);
+        buf.clear();
+        assert!(buf.is_empty());
+        assert_eq!(buf.capacity(), 2);
+        assert_eq!(buf.kth_score(), None);
+        assert_eq!(buf.threshold(), f64::NEG_INFINITY);
+        // A score the old threshold would have turned away is kept again.
+        assert!(buf.insert(1.0, 7));
+        assert!(buf.insert(2.0, 8));
+        assert_eq!(buf.into_sorted_desc(), vec![(2.0, 8), (1.0, 7)]);
+
+        let mut none: TopKBuffer<u32> = TopKBuffer::new(0);
+        none.clear();
+        assert!(!none.insert(1.0, 1), "k = 0 still retains nothing");
     }
 
     #[test]

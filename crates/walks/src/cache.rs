@@ -38,38 +38,24 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use dht_graph::{Graph, NodeId, NodeSet};
+use dht_graph::{fnv1a, fnv1a_fold, Graph, MixBuildHasher, NodeId, NodeSet};
 
 use crate::backward::backward_dht_into;
 use crate::bounds::YBoundTable;
 use crate::frontier::{ScratchPool, WalkEngine, WalkScratch};
 use crate::params::DhtParams;
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds `bytes` into an FNV-1a accumulator.
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// The column signature of a truncated backward DHT computation: two columns
 /// share a signature exactly when they were produced by the same parameters,
 /// walk depth and propagation engine (so their values are bit-identical for
 /// equal targets).
 pub fn dht_column_sig(params: &DhtParams, d: usize, engine: WalkEngine) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, b"dht");
-    h = fnv1a(h, &params.alpha.to_bits().to_le_bytes());
-    h = fnv1a(h, &params.beta.to_bits().to_le_bytes());
-    h = fnv1a(h, &params.lambda.to_bits().to_le_bytes());
-    h = fnv1a(h, &(d as u64).to_le_bytes());
-    fnv1a(h, engine.name().as_bytes())
+    let mut h = fnv1a(b"dht");
+    h = fnv1a_fold(h, &params.alpha.to_bits().to_le_bytes());
+    h = fnv1a_fold(h, &params.beta.to_bits().to_le_bytes());
+    h = fnv1a_fold(h, &params.lambda.to_bits().to_le_bytes());
+    h = fnv1a_fold(h, &(d as u64).to_le_bytes());
+    fnv1a_fold(h, engine.name().as_bytes())
 }
 
 /// Builds a column signature from a tag string and a list of 64-bit words
@@ -77,9 +63,9 @@ pub fn dht_column_sig(params: &DhtParams, d: usize, engine: WalkEngine) -> u64 {
 /// crate use to share the column caches (see
 /// `dht-measures`' `ProximityMeasure::column_signature`).
 pub fn custom_column_sig(tag: &str, words: &[u64]) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, tag.as_bytes());
+    let mut h = fnv1a(tag.as_bytes());
     for &w in words {
-        h = fnv1a(h, &w.to_le_bytes());
+        h = fnv1a_fold(h, &w.to_le_bytes());
     }
     h
 }
@@ -90,16 +76,6 @@ pub fn custom_column_sig(tag: &str, words: &[u64]) -> u64 {
 /// [`QueryCtx`] operation.
 fn graph_scoped_sig(graph: &Graph, sig: u64) -> u64 {
     custom_column_sig("graph", &[graph.uid(), sig])
-}
-
-/// Order-sensitive signature of a node set's membership, used to key cached
-/// [`YBoundTable`]s (the table depends on the seed set `P`).
-pub fn node_set_sig(set: &NodeSet) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, &(set.len() as u64).to_le_bytes());
-    for node in set.iter() {
-        h = fnv1a(h, &node.0.to_le_bytes());
-    }
-    h
 }
 
 /// Fixed per-entry bookkeeping charge (key, stamps, map/queue slots and the
@@ -170,7 +146,7 @@ struct CacheSlot {
 pub struct ColumnCache {
     byte_budget: usize,
     bytes_used: usize,
-    slots: HashMap<(u64, u32), CacheSlot>,
+    slots: HashMap<(u64, u32), CacheSlot, MixBuildHasher>,
     /// `(stamp, key)` pairs in touch order; entries are stale when the
     /// slot's current stamp differs.
     order: VecDeque<(u64, (u64, u32))>,
@@ -405,9 +381,9 @@ impl SharedColumnCache {
     }
 
     fn shard(&self, sig: u64, target: u32) -> &Mutex<ColumnCache> {
-        let mut h = fnv1a(FNV_OFFSET, b"shard");
-        h = fnv1a(h, &sig.to_le_bytes());
-        h = fnv1a(h, &target.to_le_bytes());
+        let mut h = fnv1a(b"shard");
+        h = fnv1a_fold(h, &sig.to_le_bytes());
+        h = fnv1a_fold(h, &target.to_le_bytes());
         &self.shards[(h as usize) & (self.shards.len() - 1)]
     }
 
@@ -874,7 +850,7 @@ impl QueryCtx {
     ) -> bool {
         let key = (
             graph_scoped_sig(graph, dht_column_sig(params, d, engine)),
-            node_set_sig(p),
+            p.signature(),
         );
         self.columns.is_enabled()
             && match &self.shared_y {
@@ -981,11 +957,11 @@ impl QueryCtx {
         /// `dht_par::stream_map_ordered`).
         const ITEMS_PER_WORKER_ROUND: usize = 4;
         let workers = dht_par::effective_threads(threads).max(1);
-        for chunk in targets.chunks(workers * ITEMS_PER_WORKER_ROUND) {
-            let mut slots: Vec<Option<Arc<[f64]>>> = chunk
-                .iter()
-                .map(|&target| self.columns.get(sig, target.0))
-                .collect();
+        let chunk_len = workers * ITEMS_PER_WORKER_ROUND;
+        let mut slots: Vec<Option<Arc<[f64]>>> = Vec::with_capacity(chunk_len.min(targets.len()));
+        for chunk in targets.chunks(chunk_len) {
+            slots.clear();
+            slots.extend(chunk.iter().map(|&t| self.columns.get(sig, t.0)));
             let missing: Vec<(usize, NodeId)> = slots
                 .iter()
                 .enumerate()
@@ -995,24 +971,23 @@ impl QueryCtx {
             for _ in 0..chunk.len() - missing.len() {
                 self.trace.event(dht_obs::Phase::ColumnHit);
             }
-            // One build span per parallel round (the workers share the
-            // wall-clock; per-column timers across threads would not add
-            // up to anything meaningful).
-            let started = if missing.is_empty() {
-                None
-            } else {
-                self.trace.begin()
-            };
-            let computed = dht_par::parallel_map_init(
-                threads,
-                &missing,
-                || pool.acquire(),
-                |scratch, _, &(_, target)| -> Arc<[f64]> { produce(scratch, target).into() },
-            );
-            self.trace.finish(started, dht_obs::Phase::ColumnBuild);
-            for (&(slot_index, target), column) in missing.iter().zip(computed) {
-                self.columns.insert(sig, target.0, column.clone());
-                slots[slot_index] = Some(column);
+            // A fully resident chunk takes no scratch and starts no build.
+            if !missing.is_empty() {
+                // One build span per parallel round (the workers share the
+                // wall-clock; per-column timers across threads would not add
+                // up to anything meaningful).
+                let started = self.trace.begin();
+                let computed = dht_par::parallel_map_init(
+                    threads,
+                    &missing,
+                    || pool.acquire(),
+                    |scratch, _, &(_, target)| -> Arc<[f64]> { produce(scratch, target).into() },
+                );
+                self.trace.finish(started, dht_obs::Phase::ColumnBuild);
+                for (&(slot_index, target), column) in missing.iter().zip(computed) {
+                    self.columns.insert(sig, target.0, column.clone());
+                    slots[slot_index] = Some(column);
+                }
             }
             for (slot, &target) in slots.iter().zip(chunk) {
                 let column = slot.as_ref().expect("every slot filled by hit or compute");
@@ -1037,7 +1012,7 @@ impl QueryCtx {
     ) -> Arc<YBoundTable> {
         let key = (
             graph_scoped_sig(graph, dht_column_sig(params, d, engine)),
-            node_set_sig(p),
+            p.signature(),
         );
         let caching = self.columns.is_enabled();
         if caching {
@@ -1133,15 +1108,6 @@ mod tests {
             sig(&a, 8, WalkEngine::Dense)
         );
         assert_eq!(sig(&a, 8, WalkEngine::Auto), sig(&a, 8, WalkEngine::Auto));
-    }
-
-    #[test]
-    fn node_set_signature_is_order_and_content_sensitive() {
-        let a = NodeSet::new("A", [NodeId(1), NodeId(2), NodeId(3)]);
-        let b = NodeSet::new("B", [NodeId(3), NodeId(2), NodeId(1)]);
-        let c = NodeSet::new("C", [NodeId(1), NodeId(2), NodeId(3)]);
-        assert_ne!(node_set_sig(&a), node_set_sig(&b));
-        assert_eq!(node_set_sig(&a), node_set_sig(&c));
     }
 
     #[test]
@@ -1334,6 +1300,46 @@ mod tests {
             "a hot key must not shield stale queue entries, got {}",
             cache.order.len()
         );
+    }
+
+    #[test]
+    fn eviction_order_matches_a_recency_list_under_mixed_traffic() {
+        // Reference model: keys in recency order, least recent first.
+        let capacity = 5;
+        let mut cache = ColumnCache::with_byte_budget(budget_for(capacity, 1));
+        let mut recency: Vec<u32> = Vec::new();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for step in 0..20_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let key = (state % 12) as u32;
+            let held = recency.iter().position(|&k| k == key);
+            // One operation in three inserts, the others look up.
+            if (state >> 32).is_multiple_of(3) {
+                cache.insert(9, key, vec![f64::from(key)].into());
+                if let Some(at) = held {
+                    recency.remove(at);
+                } else if recency.len() == capacity {
+                    recency.remove(0);
+                }
+                recency.push(key);
+            } else {
+                assert_eq!(cache.get(9, key).is_some(), held.is_some(), "step {step}");
+                if let Some(at) = held {
+                    recency.remove(at);
+                    recency.push(key);
+                }
+            }
+            for probe in 0..12 {
+                assert_eq!(
+                    cache.contains(9, probe),
+                    recency.contains(&probe),
+                    "step {step}, key {probe}"
+                );
+            }
+        }
+        assert!(cache.stats().evictions > 1_000);
     }
 
     #[test]

@@ -62,11 +62,23 @@
 //! instead of a silently incomplete top-k.  Typed backend rejections
 //! (`ERR BUSY`, `ERR QUOTA`, `ERR DEADLINE`) propagate upstream verbatim,
 //! so client retry loops keep working through the router unchanged.
+//!
+//! ## Wire discipline
+//!
+//! Every request or reply line the router sends, to a client or to a
+//! backend, leaves in **one** write of `line + "\n"`, and every socket the
+//! router owns has `TCP_NODELAY` set.  A line written as two segments on
+//! a Nagle socket holds its second segment (the terminator) until the
+//! peer's delayed ACK, ≈ 40 ms on Linux (RFC 896, RFC 1122 §4.2.3.2); a
+//! routed line crosses two hops, so the split write cost every line
+//! ≈ 80 ms.  Request lines are read through a 64 KiB budget, so a client
+//! that streams bytes without a newline is answered `ERR PARSE` and
+//! dropped instead of buffered without bound.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -568,26 +580,13 @@ impl Drop for Router {
 
 /// One startup probe: `STATS` then `SETS` over a fresh connection.
 fn probe_backend(addr: SocketAddr, timeout: Duration) -> io::Result<(String, Vec<String>)> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(timeout))?;
+    let stream = connect_backend(addr, timeout)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut exchange = |verb: &str| -> io::Result<String> {
-        writer.write_all(verb.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "backend closed during probe",
-            ));
-        }
-        Ok(line.trim_end().to_string())
-    };
-    let health = exchange("STATS")?;
-    let sets_line = exchange("SETS")?;
-    let sets = sets_line
+    write_line(&mut writer, "STATS")?;
+    let health = read_reply(&mut reader)?;
+    write_line(&mut writer, "SETS")?;
+    let sets = read_reply(&mut reader)?
         .strip_prefix("OK SETS")
         .unwrap_or("")
         .split_whitespace()
@@ -660,11 +659,10 @@ impl<'r> ClientBackends<'r> {
     /// session prologue replayed on fresh connects.
     fn ensure(&mut self, index: usize) -> io::Result<&mut BackendConn> {
         if self.conns[index].is_none() {
-            let addr = self.shared.backends[index].addr;
-            let stream = TcpStream::connect(addr)?;
-            stream.set_read_timeout(Some(Duration::from_millis(
-                self.shared.config.timeout_ms.max(1),
-            )))?;
+            let stream = connect_backend(
+                self.shared.backends[index].addr,
+                Duration::from_millis(self.shared.config.timeout_ms.max(1)),
+            )?;
             let writer = stream.try_clone()?;
             let mut conn = BackendConn {
                 reader: BufReader::new(stream),
@@ -716,9 +714,26 @@ impl<'r> ClientBackends<'r> {
     }
 }
 
-fn write_line(writer: &mut TcpStream, line: &str) -> io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
+/// Opens a backend connection with `TCP_NODELAY` set and replies awaited
+/// at most `timeout` (the startup probe and every per-client connection).
+fn connect_backend(addr: SocketAddr, timeout: Duration) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(timeout))?;
+    Ok(stream)
+}
+
+/// Readies an accepted client socket: `TCP_NODELAY` set, and reads that
+/// time out every [`CLIENT_POLL`] so an idle handler sees shutdown.
+fn prepare_client(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(CLIENT_POLL))
+}
+
+/// Sends `line` and its terminator as one write, so the line leaves as
+/// one segment (see *Wire discipline* in the module docs).
+fn write_line<W: Write>(writer: &mut W, line: &str) -> io::Result<()> {
+    writer.write_all(&[line.as_bytes(), b"\n"].concat())?;
     writer.flush()
 }
 
@@ -849,14 +864,18 @@ fn parse_twoway(reply: &str) -> Option<Vec<WirePair>> {
 /// of the reports and truncating to `k` is exactly the single-server
 /// union-run answer, boundary ties included.  Any non-TWOWAY reply (a
 /// typed rejection, an EXEC error) propagates verbatim instead.
-fn merge_twoway(replies: &[String], k: usize) -> String {
+///
+/// Also returns how many pairs the shards contributed before truncation
+/// (0 when a reply propagates).
+fn merge_twoway(replies: &[String], k: usize) -> (String, usize) {
     let mut pairs: Vec<WirePair> = Vec::new();
     for reply in replies {
         match parse_twoway(reply) {
             Some(shard_pairs) => pairs.extend(shard_pairs),
-            None => return reply.clone(),
+            None => return (reply.clone(), 0),
         }
     }
+    let input_pairs = pairs.len();
     pairs.sort_by(|a, b| {
         f64::from_bits(b.bits)
             .total_cmp(&f64::from_bits(a.bits))
@@ -868,7 +887,7 @@ fn merge_twoway(replies: &[String], k: usize) -> String {
     for pair in &pairs {
         line.push_str(&format!(" {}:{}:{:016x}", pair.left, pair.right, pair.bits));
     }
-    line
+    (line, input_pairs)
 }
 
 /// The backends participating in a fan-out of base set `right`: each
@@ -891,7 +910,7 @@ fn fanout_targets(backends: &[BackendInfo], right: &str) -> Vec<(usize, String)>
 }
 
 fn client_loop(stream: TcpStream, shared: Arc<RouterShared>) {
-    if stream.set_read_timeout(Some(CLIENT_POLL)).is_err() {
+    if prepare_client(&stream).is_err() {
         return;
     }
     let mut writer = match stream.try_clone() {
@@ -901,9 +920,12 @@ fn client_loop(stream: TcpStream, shared: Arc<RouterShared>) {
     let mut reader = BufReader::new(stream);
     let mut backends = ClientBackends::new(&shared);
     let mut fanout_enabled = true;
-    let mut buf = String::new();
+    let mut buf = Vec::new();
     loop {
-        match reader.read_line(&mut buf) {
+        // The read itself is bounded: at most MAX_LINE_BYTES of content
+        // plus the terminator, however fast a client streams bytes.
+        let budget = (MAX_LINE_BYTES + 1 - buf.len()) as u64;
+        match (&mut reader).take(budget).read_until(b'\n', &mut buf) {
             Ok(0) => return, // EOF
             Ok(_) => {}
             Err(error)
@@ -915,16 +937,19 @@ fn client_loop(stream: TcpStream, shared: Arc<RouterShared>) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                if buf.len() > MAX_LINE_BYTES {
-                    let _ = write_line(&mut writer, "ERR PARSE request line exceeds 64 KiB");
-                    return;
-                }
                 continue;
             }
             Err(_) => return,
         }
+        if buf.len() > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+            let _ = write_line(&mut writer, "ERR PARSE request line exceeds 64 KiB");
+            return;
+        }
         let raw = std::mem::take(&mut buf);
-        let Some(line) = dht_server::wire::strip_line(&raw) else {
+        let Ok(text) = std::str::from_utf8(&raw) else {
+            return;
+        };
+        let Some(line) = dht_server::wire::strip_line(text) else {
             continue;
         };
         let response = handle_line(line, &shared, &mut backends, &mut fanout_enabled);
@@ -1070,15 +1095,10 @@ fn handle_line(
                     }
                 }
             }
-            let merged = merge_twoway(&replies, k);
+            let (merged, input_pairs) = merge_twoway(&replies, k);
             // Merge-size telemetry: how many scored pairs the shards
             // contributed before truncation to k.
             shared.metrics.merges.inc();
-            let input_pairs: usize = replies
-                .iter()
-                .filter_map(|reply| parse_twoway(reply))
-                .map(|pairs| pairs.len())
-                .sum();
             shared.metrics.merged_pairs.add(input_pairs as u64);
             merged
         }
@@ -1221,19 +1241,23 @@ mod tests {
         let b = format!("OK TWOWAY 3 1:7:{tie:016x} 2:9:{low:016x} 4:1:{low:016x}");
         assert_eq!(
             merge_twoway(&[a.clone(), b.clone()], 10),
-            format!(
-                "OK TWOWAY 5 3:8:{high:016x} 1:7:{tie:016x} 5:8:{tie:016x} \
-                 2:9:{low:016x} 4:1:{low:016x}"
+            (
+                format!(
+                    "OK TWOWAY 5 3:8:{high:016x} 1:7:{tie:016x} 5:8:{tie:016x} \
+                     2:9:{low:016x} 4:1:{low:016x}"
+                ),
+                5
             ),
             "ties order by left id first: 2:9 before 4:1 despite the larger right id"
         );
         assert_eq!(
             merge_twoway(&[a.clone(), b], 2),
-            format!("OK TWOWAY 2 3:8:{high:016x} 1:7:{tie:016x}")
+            (format!("OK TWOWAY 2 3:8:{high:016x} 1:7:{tie:016x}"), 5),
+            "the pair count is taken before truncation"
         );
         // Typed rejections from any shard propagate verbatim.
         let busy = "ERR BUSY interactive queue full; re-send later".to_string();
-        assert_eq!(merge_twoway(&[a, busy.clone()], 10), busy);
+        assert_eq!(merge_twoway(&[a, busy.clone()], 10), (busy, 0));
     }
 
     #[test]
@@ -1397,6 +1421,27 @@ mod tests {
         assert!(text.contains("dht_router_whole_routed_total 1"), "{text}");
         assert!(text.contains("dht_router_shard_errors_total 0"), "{text}");
         assert!(text.contains("dht_router_merges_total 1"), "{text}");
+        // The merged-pairs counter is the sum of the shard replies' sizes:
+        // ask each backend for its alias directly and count.
+        let shard_pairs: usize = fanout_targets(router.backends(), "Q")
+            .iter()
+            .map(|(index, alias)| {
+                let reply = roundtrip(backend_addrs[*index], &[&format!("P {alias} 3")]);
+                parse_twoway(&reply[0]).expect("OK TWOWAY").len()
+            })
+            .sum();
+        assert!(
+            shard_pairs > 3,
+            "more than k pairs entered the merge: {shard_pairs}"
+        );
+        let merged_pairs = text
+            .lines()
+            .find_map(|line| line.strip_prefix("dht_router_merged_pairs_total "));
+        assert_eq!(
+            merged_pairs,
+            Some(shard_pairs.to_string().as_str()),
+            "{text}"
+        );
         // Both fan-out legs answered, so both backends saw traffic.
         assert!(
             text.contains("dht_router_backend_latency_seconds_count{backend=\"shard-0\"}"),
@@ -1453,6 +1498,90 @@ mod tests {
         for server in fleet {
             assert!(server.is_shutting_down(), "backend was told to shut down");
             server.join();
+        }
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct RecordingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_line_leaves_in_one_write() {
+        let shared = RouterShared {
+            config: RouterConfig::default(),
+            backends: Vec::new(),
+            shutdown: AtomicBool::new(false),
+            metrics: RouterMetrics::new(&[]),
+            started: Instant::now(),
+        };
+        let metrics = handle_line(
+            "METRICS",
+            &shared,
+            &mut ClientBackends::new(&shared),
+            &mut true,
+        );
+        assert!(
+            metrics.starts_with("OK METRICS\n") && metrics.ends_with("# EOF"),
+            "{metrics}"
+        );
+        for line in ["OK PONG".to_string(), "a".repeat(MAX_LINE_BYTES), metrics] {
+            let mut writer = RecordingWriter::default();
+            write_line(&mut writer, &line).expect("write");
+            assert_eq!(writer.writes, vec![format!("{line}\n").into_bytes()]);
+        }
+    }
+
+    #[test]
+    fn every_router_socket_has_nodelay_and_a_read_timeout() {
+        // The kernel rounds timeouts to its clock tick, so read back "set",
+        // not the exact duration.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let timeout = Duration::from_millis(250);
+        let backend = connect_backend(listener.local_addr().unwrap(), timeout).expect("connect");
+        assert!(backend.nodelay().unwrap());
+        assert!(backend.read_timeout().unwrap().is_some());
+        let (client, _) = listener.accept().expect("accept");
+        prepare_client(&client).expect("prepare");
+        assert!(client.nodelay().unwrap());
+        assert!(client.read_timeout().unwrap().is_some());
+    }
+
+    #[test]
+    fn a_client_streaming_without_newlines_is_cut_off_at_the_line_cap() {
+        let fleet = start_fleet(1);
+        let router =
+            Router::start(&[fleet[0].local_addr()], RouterConfig::default()).expect("start router");
+        let stream = TcpStream::connect(router.local_addr()).expect("connect");
+        let mut writer = stream.try_clone().expect("clone");
+        let chunk = vec![b'a'; 8 * 1024];
+        let limit = 64 * 1024 * 1024;
+        let mut sent = 0;
+        while sent < limit && writer.write_all(&chunk).is_ok() {
+            sent += chunk.len();
+        }
+        assert!(sent < limit, "the router buffered {sent} bytes of one line");
+        // The error line precedes the close, unless the close's reset
+        // overtook it.
+        let mut response = String::new();
+        if BufReader::new(stream).read_line(&mut response).is_ok() && !response.is_empty() {
+            assert_eq!(response, "ERR PARSE request line exceeds 64 KiB\n");
+        }
+        router.shutdown();
+        for server in fleet {
+            server.shutdown();
         }
     }
 }

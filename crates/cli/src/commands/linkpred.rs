@@ -3,10 +3,6 @@
 
 use dht_datasets::split::link_prediction_split;
 use dht_eval::linkpred;
-use dht_measures::{
-    DhtMeasure, KatzIndex, KatzMode, PathSim, PersonalizedPageRank, ProximityMeasure,
-    TruncatedHittingTime,
-};
 
 use crate::{setsfile, ArgMap, CliError, Result};
 
@@ -45,7 +41,7 @@ pub fn run(args: &ArgMap) -> Result<String> {
     }
     args.reject_unknown(KNOWN)?;
     let graph = super::load_graph(args)?;
-    let sets = setsfile::read_node_sets_file(args.require("sets")?)?;
+    let sets = setsfile::read_node_sets_for(args.require("sets")?, &graph)?;
     let left = setsfile::find_set(&sets, args.require("left")?)?;
     let right = setsfile::find_set(&sets, args.require("right")?)?;
     let fraction: f64 = args.get_parsed_or("fraction", 0.5)?;
@@ -66,7 +62,8 @@ pub fn run(args: &ArgMap) -> Result<String> {
         )));
     }
 
-    let (label, measure): (String, Box<dyn ProximityMeasure>) = build_measure(args)?;
+    let (name, detail, measure) = super::measure_options(args)?;
+    let label = format!("{name} ({detail})");
     let outcome = linkpred::evaluate_with(&graph, &split.test_graph, left, right, |g, t| {
         measure.scores_to_target(g, t)
     });
@@ -96,54 +93,6 @@ pub fn run(args: &ArgMap) -> Result<String> {
         ));
     }
     Ok(out)
-}
-
-/// Builds the scoring measure selected by `--measure`, returning a display
-/// label alongside it.
-fn build_measure(args: &ArgMap) -> Result<(String, Box<dyn ProximityMeasure>)> {
-    match args
-        .get("measure")
-        .unwrap_or("dht")
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "dht" => {
-            let (params, depth) = super::dht_options(args)?;
-            let m = DhtMeasure::new(params, depth)?;
-            Ok((format!("DHT (λ={}, d={depth})", params.lambda), Box::new(m)))
-        }
-        "ppr" => {
-            let damping: f64 = args.get_parsed_or("damping", 0.85)?;
-            let epsilon: f64 = args.get_parsed_or("epsilon", 1e-6)?;
-            let m = PersonalizedPageRank::with_epsilon(damping, epsilon)?;
-            Ok((format!("PPR (c={damping})"), Box::new(m)))
-        }
-        "ht" | "hitting-time" => {
-            let (_, depth) = super::dht_options(args)?;
-            Ok((
-                format!("truncated hitting time (d={depth})"),
-                Box::new(TruncatedHittingTime::new(depth)?),
-            ))
-        }
-        "pathsim" => {
-            let length: usize = args.get_parsed_or("length", 2)?;
-            Ok((
-                format!("PathSim (L={length})"),
-                Box::new(PathSim::new(length)?),
-            ))
-        }
-        "katz" => {
-            let beta: f64 = args.get_parsed_or("beta", 0.05)?;
-            let (_, depth) = super::dht_options(args)?;
-            Ok((
-                format!("Katz (β={beta}, d={depth})"),
-                Box::new(KatzIndex::new(beta, depth, KatzMode::Transition)?),
-            ))
-        }
-        other => Err(CliError::Parse(format!(
-            "unknown measure '{other}' (expected dht, ppr, ht, pathsim or katz)"
-        ))),
-    }
 }
 
 #[cfg(test)]

@@ -17,6 +17,10 @@ use dht_core::spec::AlgorithmChoice;
 use dht_core::twoway::TwoWayAlgorithm;
 use dht_core::Aggregate;
 use dht_graph::Graph;
+use dht_measures::{
+    DhtMeasure, KatzIndex, KatzMode, PathSim, PersonalizedPageRank, ProximityMeasure,
+    TruncatedHittingTime,
+};
 use dht_walks::{DhtParams, WalkEngine};
 
 use crate::{CliError, Result};
@@ -67,6 +71,50 @@ pub(crate) fn engine_options(args: &crate::ArgMap) -> Result<(WalkEngine, usize)
     };
     let threads: usize = args.get_parsed_or("threads", 1)?;
     Ok((engine, threads))
+}
+
+/// Builds the measure `--measure` names from its options (`--damping`,
+/// `--length`, `--beta` and the DHT options), with the name and parameter
+/// summary the reports print: the one measure parser behind `two-way`,
+/// `nway` and `linkpred`.
+pub(crate) fn measure_options(
+    args: &crate::ArgMap,
+) -> Result<(&'static str, String, Box<dyn ProximityMeasure + Sync>)> {
+    let measure = args.get("measure").unwrap_or("dht").to_ascii_lowercase();
+    Ok(match measure.as_str() {
+        "dht" => {
+            let (params, depth) = dht_options(args)?;
+            let detail = format!("λ={}, d={depth}", params.lambda);
+            ("DHT", detail, Box::new(DhtMeasure::new(params, depth)?))
+        }
+        "ppr" => {
+            let damping: f64 = args.get_parsed_or("damping", 0.85)?;
+            let epsilon: f64 = args.get_parsed_or("epsilon", 1e-6)?;
+            let m = PersonalizedPageRank::with_epsilon(damping, epsilon)?;
+            ("PPR", format!("c={damping}"), Box::new(m))
+        }
+        "ht" | "hitting-time" => {
+            let (_, depth) = dht_options(args)?;
+            let m = TruncatedHittingTime::new(depth)?;
+            ("truncated hitting time", format!("d={depth}"), Box::new(m))
+        }
+        "pathsim" => {
+            let length: usize = args.get_parsed_or("length", 2)?;
+            let m = PathSim::new(length)?;
+            ("PathSim", format!("L={length}"), Box::new(m))
+        }
+        "katz" => {
+            let beta: f64 = args.get_parsed_or("beta", 0.05)?;
+            let (_, depth) = dht_options(args)?;
+            let m = KatzIndex::new(beta, depth, KatzMode::Transition)?;
+            ("Katz", format!("β={beta}, d={depth}"), Box::new(m))
+        }
+        other => {
+            return Err(CliError::Parse(format!(
+                "unknown measure '{other}' (expected dht, ppr, ht, pathsim or katz)"
+            )))
+        }
+    })
 }
 
 /// Parses `--algorithm` into one of the five 2-way join algorithms

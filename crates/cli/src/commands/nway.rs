@@ -3,7 +3,7 @@
 use dht_core::multiway::{NWayAlgorithm, NWayConfig};
 use dht_core::{Answer, QueryGraph};
 use dht_graph::{Graph, NodeSet};
-use dht_measures::{measure_nway_top_k_threaded, PersonalizedPageRank, TruncatedHittingTime};
+use dht_measures::measure_nway_top_k_threaded;
 
 use crate::{setsfile, ArgMap, CliError, Result};
 
@@ -58,7 +58,7 @@ pub fn run(args: &ArgMap) -> Result<String> {
     }
     args.reject_unknown(KNOWN)?;
     let graph = super::load_graph(args)?;
-    let all_sets = setsfile::read_node_sets_file(args.require("sets")?)?;
+    let all_sets = setsfile::read_node_sets_for(args.require("sets")?, &graph)?;
     let chosen_names = args.get_all("set");
     if chosen_names.len() < 2 {
         return Err(CliError::Usage(
@@ -96,30 +96,14 @@ pub fn run(args: &ArgMap) -> Result<String> {
                 output.answers,
             )
         }
-        "ppr" => {
-            let damping: f64 = args.get_parsed_or("damping", 0.85)?;
-            let epsilon: f64 = args.get_parsed_or("epsilon", 1e-6)?;
-            let m = PersonalizedPageRank::with_epsilon(damping, epsilon)?;
-            let output =
-                measure_nway_top_k_threaded(&graph, &m, &query, &node_sets, aggregate, k, threads)?;
+        "ppr" | "ht" | "hitting-time" => {
+            let (name, _, m) = super::measure_options(args)?;
+            let output = measure_nway_top_k_threaded(
+                &graph, &*m, &query, &node_sets, aggregate, k, engine, threads,
+            )?;
             (
                 format!(
-                    "top-{k} {}-way join over {} (PPR, {} aggregate)",
-                    node_sets.len(),
-                    chosen_names.join(" — "),
-                    aggregate.name()
-                ),
-                output.answers,
-            )
-        }
-        "ht" | "hitting-time" => {
-            let (_, depth) = super::dht_options(args)?;
-            let m = TruncatedHittingTime::new(depth)?;
-            let output =
-                measure_nway_top_k_threaded(&graph, &m, &query, &node_sets, aggregate, k, threads)?;
-            (
-                format!(
-                    "top-{k} {}-way join over {} (truncated hitting time, {} aggregate)",
+                    "top-{k} {}-way join over {} ({name}, {} aggregate)",
                     node_sets.len(),
                     chosen_names.join(" — "),
                     aggregate.name()
@@ -173,6 +157,7 @@ fn answer_label(graph: &Graph, answer: &Answer, with_labels: bool) -> String {
 mod tests {
     use super::*;
     use dht_graph::{GraphBuilder, NodeId};
+    use std::path::Path;
 
     fn argmap(parts: &[&str]) -> ArgMap {
         ArgMap::parse(&parts.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
@@ -221,40 +206,41 @@ mod tests {
         assert!(parse_nway_algorithm("zz", 10).is_err());
     }
 
-    #[test]
-    fn dht_triangle_join_runs_end_to_end() {
-        let (g, s) = fixture("dht");
-        let out = run(&argmap(&[
+    /// Runs `dht nway` on the fixture with `extra` options.
+    fn nway(g: &Path, s: &Path, extra: &[&str]) -> Result<String> {
+        let mut parts = vec![
             "--graph",
             g.to_str().unwrap(),
             "--sets",
             s.to_str().unwrap(),
-            "--set",
-            "A",
-            "--set",
-            "B",
-            "--set",
-            "C",
-            "--query",
-            "triangle",
-            "--k",
-            "4",
-        ]))
-        .unwrap();
+        ];
+        parts.extend(extra);
+        run(&argmap(&parts))
+    }
+
+    fn remove(files: [&Path; 2]) {
+        let _ = files.map(std::fs::remove_file);
+    }
+
+    #[test]
+    fn dht_triangle_join_runs_end_to_end() {
+        let (g, s) = fixture("dht");
+        let sets = ["--set", "A", "--set", "B", "--set", "C"];
+        let out = nway(
+            &g,
+            &s,
+            &[&sets[..], &["--query", "triangle", "--k", "4"]].concat(),
+        );
+        let out = out.unwrap();
         assert!(out.contains("PJ-i"));
         assert!(out.contains("rank"));
-        std::fs::remove_file(&g).ok();
-        std::fs::remove_file(&s).ok();
+        remove([&g, &s]);
     }
 
     #[test]
     fn ppr_chain_join_runs_end_to_end() {
         let (g, s) = fixture("ppr");
-        let out = run(&argmap(&[
-            "--graph",
-            g.to_str().unwrap(),
-            "--sets",
-            s.to_str().unwrap(),
+        let extra = [
             "--set",
             "A",
             "--set",
@@ -263,29 +249,58 @@ mod tests {
             "ppr",
             "--aggregate",
             "sum",
-            "--k",
-            "3",
-        ]))
-        .unwrap();
+        ];
+        let out = nway(&g, &s, &[&extra[..], &["--k", "3"]].concat()).unwrap();
         assert!(out.contains("PPR"));
-        std::fs::remove_file(&g).ok();
-        std::fs::remove_file(&s).ok();
+        remove([&g, &s]);
+    }
+
+    /// `--engine dense` output of the measure n-way joins on the fixture,
+    /// captured before the measures moved onto the shared walk kernel and
+    /// joins.
+    const PINNED: &str = "\
+top-5 3-way join over A — B — C (PPR, SUM aggregate)
+rank  score        answer
+   1  0.204165     (n2, n3, n6)
+   2  0.204165     (n2, n5, n6)
+   3  0.187178     (n0, n5, n6)
+   4  0.187178     (n2, n3, n8)
+   5  0.185302     (n1, n5, n6)
+top-5 3-way join over A — B — C (truncated hitting time, SUM aggregate)
+rank  score        answer
+   1  0.597222     (n2, n3, n6)
+   2  0.597222     (n2, n5, n6)
+   3  0.523341     (n2, n3, n8)
+   4  0.523341     (n0, n5, n6)
+   5  0.515046     (n1, n5, n6)
+";
+
+    #[test]
+    fn dense_engine_measure_output_is_pinned() {
+        let (g, s) = fixture("pinned");
+        let sets = [
+            "--set",
+            "A",
+            "--set",
+            "B",
+            "--set",
+            "C",
+            "--aggregate",
+            "sum",
+        ];
+        let out = ["ppr", "ht"].map(|m| {
+            let options = ["--k", "5", "--engine", "dense", "--measure", m];
+            nway(&g, &s, &[&sets[..], &options].concat()).unwrap()
+        });
+        assert_eq!(out.concat(), PINNED);
+        remove([&g, &s]);
     }
 
     #[test]
     fn too_few_sets_is_a_usage_error() {
         let (g, s) = fixture("few");
-        let err = run(&argmap(&[
-            "--graph",
-            g.to_str().unwrap(),
-            "--sets",
-            s.to_str().unwrap(),
-            "--set",
-            "A",
-        ]))
-        .unwrap_err();
+        let err = nway(&g, &s, &["--set", "A"]).unwrap_err();
         assert!(err.to_string().contains("at least two"));
-        std::fs::remove_file(&g).ok();
-        std::fs::remove_file(&s).ok();
+        remove([&g, &s]);
     }
 }

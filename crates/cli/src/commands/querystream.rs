@@ -214,7 +214,7 @@ pub fn run(args: &ArgMap) -> Result<String> {
     }
     args.reject_unknown(KNOWN)?;
     let graph = super::load_graph(args)?;
-    let sets = setsfile::read_node_sets_file(args.require("sets")?)?;
+    let sets = setsfile::read_node_sets_for(args.require("sets")?, &graph)?;
     let queries_path = args.require("queries")?;
     let queries_text = std::fs::read_to_string(queries_path).map_err(CliError::Io)?;
 

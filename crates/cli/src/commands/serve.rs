@@ -134,7 +134,7 @@ pub(crate) fn engine_config_from_args(args: &ArgMap) -> Result<EngineConfig> {
 /// `loadgen`'s parity verification, which must mirror the server exactly).
 pub(crate) fn engine_from_args(args: &ArgMap) -> Result<(Engine, Vec<NodeSet>)> {
     let graph = super::load_graph(args)?;
-    let sets = setsfile::read_node_sets_file(args.require("sets")?)?;
+    let sets = setsfile::read_node_sets_for(args.require("sets")?, &graph)?;
     let config = engine_config_from_args(args)?;
     Ok((Engine::with_config(graph, config), sets))
 }
@@ -185,16 +185,19 @@ pub(crate) fn registry_from_args(args: &ArgMap) -> Result<(GraphRegistry, Vec<Ve
     }
     let sets = graphs
         .iter()
-        .map(|(name, _)| {
-            sets_by_name
+        .map(|(name, graph)| {
+            let (_, sets) = sets_by_name
                 .iter()
                 .find(|(set_name, _)| set_name == name)
-                .map(|(_, sets)| sets.clone())
                 .ok_or_else(|| {
                     CliError::Usage(format!(
                         "graph '{name}' has no matching '--sets {name}=PATH'"
                     ))
-                })
+                })?;
+            for set in sets {
+                graph.check_node_set(set)?;
+            }
+            Ok(sets.clone())
         })
         .collect::<Result<Vec<_>>>()?;
     Ok((GraphRegistry::with_shared_budget(graphs, config), sets))

@@ -2,12 +2,9 @@
 
 use dht_core::twoway::TwoWayConfig;
 use dht_graph::Graph;
-use dht_measures::{
-    measure_two_way_top_k_threaded, KatzIndex, KatzMode, MeasurePair, PathSim,
-    PersonalizedPageRank, TruncatedHittingTime,
-};
+use dht_measures::{measure_two_way_top_k_threaded, MeasurePair};
 
-use crate::{setsfile, ArgMap, CliError, Result};
+use crate::{setsfile, ArgMap, Result};
 
 const HELP: &str = "\
 dht two-way — top-k 2-way join between two named node sets
@@ -58,89 +55,41 @@ pub fn run(args: &ArgMap) -> Result<String> {
     }
     args.reject_unknown(KNOWN)?;
     let graph = super::load_graph(args)?;
-    let sets = setsfile::read_node_sets_file(args.require("sets")?)?;
+    let sets = setsfile::read_node_sets_for(args.require("sets")?, &graph)?;
     let left = setsfile::find_set(&sets, args.require("left")?)?;
     let right = setsfile::find_set(&sets, args.require("right")?)?;
     let k: usize = args.get_parsed_or("k", 10)?;
     let with_labels = args.get_parsed_or("labels", 1u8)? == 1;
     let (engine, threads) = super::engine_options(args)?;
 
-    let measure = args.get("measure").unwrap_or("dht");
-    let (header, pairs) = match measure.to_ascii_lowercase().as_str() {
-        "dht" => {
-            let (params, depth) = super::dht_options(args)?;
-            let algorithm =
-                super::parse_two_way_algorithm(args.get("algorithm").unwrap_or("b-idj-y"))?;
-            let config = TwoWayConfig::new(params, depth)
-                .with_engine(engine)
-                .with_threads(threads);
-            let output = algorithm.top_k(&graph, &config, left, right, k);
-            (
-                format!(
-                    "top-{k} 2-way join {} ⋈ {} (DHT, {}, λ={}, d={depth})",
-                    left.name(),
-                    right.name(),
-                    algorithm.name(),
-                    params.lambda
-                ),
-                output.pairs,
-            )
-        }
-        "ppr" => {
-            let damping: f64 = args.get_parsed_or("damping", 0.85)?;
-            let epsilon: f64 = args.get_parsed_or("epsilon", 1e-6)?;
-            let m = PersonalizedPageRank::with_epsilon(damping, epsilon)?;
-            (
-                format!(
-                    "top-{k} 2-way join {} ⋈ {} (PPR, c={damping})",
-                    left.name(),
-                    right.name()
-                ),
-                measure_two_way_top_k_threaded(&graph, &m, left, right, k, threads),
-            )
-        }
-        "ht" | "hitting-time" => {
-            let (_, depth) = super::dht_options(args)?;
-            let m = TruncatedHittingTime::new(depth)?;
-            (
-                format!(
-                    "top-{k} 2-way join {} ⋈ {} (truncated hitting time, d={depth})",
-                    left.name(),
-                    right.name()
-                ),
-                measure_two_way_top_k_threaded(&graph, &m, left, right, k, threads),
-            )
-        }
-        "pathsim" => {
-            let length: usize = args.get_parsed_or("length", 2)?;
-            let m = PathSim::new(length)?;
-            (
-                format!(
-                    "top-{k} 2-way join {} ⋈ {} (PathSim, L={length})",
-                    left.name(),
-                    right.name()
-                ),
-                measure_two_way_top_k_threaded(&graph, &m, left, right, k, threads),
-            )
-        }
-        "katz" => {
-            let beta: f64 = args.get_parsed_or("beta", 0.05)?;
-            let (_, depth) = super::dht_options(args)?;
-            let m = KatzIndex::new(beta, depth, KatzMode::Transition)?;
-            (
-                format!(
-                    "top-{k} 2-way join {} ⋈ {} (Katz, β={beta}, d={depth})",
-                    left.name(),
-                    right.name()
-                ),
-                measure_two_way_top_k_threaded(&graph, &m, left, right, k, threads),
-            )
-        }
-        other => {
-            return Err(CliError::Parse(format!(
-                "unknown measure '{other}' (expected dht, ppr, ht, pathsim or katz)"
-            )))
-        }
+    let (header, pairs) = if args
+        .get("measure")
+        .unwrap_or("dht")
+        .eq_ignore_ascii_case("dht")
+    {
+        let (params, depth) = super::dht_options(args)?;
+        let algorithm = super::parse_two_way_algorithm(args.get("algorithm").unwrap_or("b-idj-y"))?;
+        let config = TwoWayConfig::new(params, depth)
+            .with_engine(engine)
+            .with_threads(threads);
+        let output = algorithm.top_k(&graph, &config, left, right, k);
+        (
+            format!(
+                "top-{k} 2-way join {} ⋈ {} (DHT, {}, λ={}, d={depth})",
+                left.name(),
+                right.name(),
+                algorithm.name(),
+                params.lambda
+            ),
+            output.pairs,
+        )
+    } else {
+        let (name, detail, m) = super::measure_options(args)?;
+        let (l, r) = (left.name(), right.name());
+        (
+            format!("top-{k} 2-way join {l} ⋈ {r} ({name}, {detail})"),
+            measure_two_way_top_k_threaded(&graph, &*m, left, right, k, engine, threads),
+        )
     };
 
     let table = super::format_ranking(
@@ -166,7 +115,9 @@ fn pair_label(graph: &Graph, pair: &MeasurePair, with_labels: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dht_graph::{GraphBuilder, NodeId, NodeSet};
+    use crate::CliError;
+    use dht_graph::{GraphBuilder, GraphError, NodeId, NodeSet};
+    use std::path::Path;
 
     fn argmap(parts: &[&str]) -> ArgMap {
         ArgMap::parse(&parts.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
@@ -201,6 +152,18 @@ mod tests {
         (graph_path, sets_path)
     }
 
+    /// Runs `dht two-way` on the fixture's `P ⋈ Q` with `extra` options.
+    fn join(g: &Path, s: &Path, extra: &[&str]) -> Result<String> {
+        let (g, s) = (g.to_str().unwrap(), s.to_str().unwrap());
+        let mut parts = vec!["--graph", g, "--sets", s, "--left", "P", "--right", "Q"];
+        parts.extend(extra);
+        run(&argmap(&parts))
+    }
+
+    fn remove(files: [&Path; 2]) {
+        let _ = files.map(std::fs::remove_file);
+    }
+
     #[test]
     fn help_lists_measures() {
         assert!(run(&argmap(&["--help"])).unwrap().contains("--measure"));
@@ -209,106 +172,119 @@ mod tests {
     #[test]
     fn dht_join_produces_a_ranking() {
         let (g, s) = fixture("dht");
-        let out = run(&argmap(&[
-            "--graph",
-            g.to_str().unwrap(),
-            "--sets",
-            s.to_str().unwrap(),
-            "--left",
-            "P",
-            "--right",
-            "Q",
-            "--k",
-            "3",
-        ]))
-        .unwrap();
+        let out = join(&g, &s, &["--k", "3"]).unwrap();
         assert!(out.contains("B-IDJ-Y"));
-        assert_eq!(
-            out.lines()
-                .filter(|l| l.trim_start().starts_with(char::is_numeric))
-                .count(),
-            3
-        );
-        std::fs::remove_file(&g).ok();
-        std::fs::remove_file(&s).ok();
+        let rows = out
+            .lines()
+            .filter(|l| l.trim_start().starts_with(char::is_numeric));
+        assert_eq!(rows.count(), 3);
+        remove([&g, &s]);
     }
 
     #[test]
     fn alternative_measures_produce_rankings() {
         let (g, s) = fixture("alt");
         for measure in ["ppr", "ht", "pathsim", "katz"] {
-            let out = run(&argmap(&[
-                "--graph",
-                g.to_str().unwrap(),
-                "--sets",
-                s.to_str().unwrap(),
-                "--left",
-                "P",
-                "--right",
-                "Q",
-                "--k",
-                "2",
-                "--measure",
-                measure,
-            ]))
-            .unwrap();
+            let out = join(&g, &s, &["--k", "2", "--measure", measure]).unwrap();
             assert!(out.contains("rank"), "measure {measure} produced no table");
         }
-        std::fs::remove_file(&g).ok();
-        std::fs::remove_file(&s).ok();
+        remove([&g, &s]);
     }
 
     #[test]
     fn engine_and_threads_flags_do_not_change_the_ranking() {
         let (g, s) = fixture("engine");
-        let base = [
-            "--graph",
-            g.to_str().unwrap(),
-            "--sets",
-            s.to_str().unwrap(),
-            "--left",
-            "P",
-            "--right",
-            "Q",
-            "--k",
-            "4",
-        ];
-        let mut dense: Vec<&str> = base.to_vec();
-        dense.extend(["--engine", "dense"]);
-        let mut sparse_mt: Vec<&str> = base.to_vec();
-        sparse_mt.extend(["--engine", "sparse", "--threads", "4"]);
-        let reference = run(&argmap(&base)).unwrap();
-        assert_eq!(run(&argmap(&dense)).unwrap(), reference);
-        assert_eq!(run(&argmap(&sparse_mt)).unwrap(), reference);
-        let mut bad: Vec<&str> = base.to_vec();
-        bad.extend(["--engine", "warp"]);
-        assert!(run(&argmap(&bad)).is_err());
-        std::fs::remove_file(&g).ok();
-        std::fs::remove_file(&s).ok();
+        for measure in ["dht", "ppr", "katz"] {
+            let base = ["--k", "4", "--measure", measure];
+            let reference = join(&g, &s, &base).unwrap();
+            for flags in [
+                &["--engine", "dense"][..],
+                &["--engine", "sparse", "--threads", "4"],
+            ] {
+                let out = join(&g, &s, &[&base[..], flags].concat()).unwrap();
+                assert_eq!(out, reference, "{measure} {flags:?}");
+            }
+        }
+        assert!(join(&g, &s, &["--engine", "warp"]).is_err());
+        remove([&g, &s]);
+    }
+
+    /// `--engine dense` output of every measure on the fixture, captured
+    /// before the measures moved onto the shared walk kernel and joins.
+    const PINNED: &str = "\
+top-6 2-way join P ⋈ Q (PPR, c=0.85)
+rank  score        answer
+   1  0.138075     (n3, n4)
+   2  0.091870     (n0, n4)
+   3  0.091870     (n2, n4)
+   4  0.078089     (n1, n4)
+   5  0.061247     (n3, n5)
+   6  0.061247     (n3, n7)
+top-6 2-way join P ⋈ Q (truncated hitting time, d=8)
+rank  score        answer
+   1  0.405478     (n3, n4)
+   2  0.223380     (n0, n4)
+   3  0.223380     (n2, n4)
+   4  0.170718     (n1, n4)
+   5  0.151770     (n3, n5)
+   6  0.151770     (n3, n7)
+top-6 2-way join P ⋈ Q (PathSim, L=2)
+rank  score        answer
+   1  0.400000     (n0, n4)
+   2  0.400000     (n2, n4)
+   3  0.400000     (n3, n5)
+   4  0.400000     (n3, n7)
+   5  0.000000     (n0, n5)
+   6  0.000000     (n0, n6)
+top-6 2-way join P ⋈ Q (Katz, β=0.05, d=8)
+rank  score        answer
+   1  0.016699     (n3, n4)
+   2  0.000418     (n0, n4)
+   3  0.000418     (n2, n4)
+   4  0.000279     (n3, n5)
+   5  0.000279     (n3, n7)
+   6  0.000021     (n1, n4)
+";
+
+    #[test]
+    fn dense_engine_measure_output_is_pinned() {
+        let (g, s) = fixture("pinned");
+        let out: String = ["ppr", "ht", "pathsim", "katz"]
+            .map(|m| join(&g, &s, &["--k", "6", "--engine", "dense", "--measure", m]).unwrap())
+            .concat();
+        assert_eq!(out, PINNED);
+        remove([&g, &s]);
+    }
+
+    #[test]
+    fn out_of_range_set_members_are_a_typed_error() {
+        let (g, s) = fixture("range");
+        std::fs::write(&s, "P 0 1\nQ 4 99\n").unwrap();
+        for measure in ["dht", "ppr"] {
+            let err = join(&g, &s, &["--measure", measure]).unwrap_err();
+            let CliError::Graph(GraphError::NodeSetOutOfRange {
+                set,
+                node,
+                node_count,
+            }) = &err
+            else {
+                panic!("{measure}: {err}");
+            };
+            assert_eq!((set.as_str(), *node, *node_count), ("Q", 99, 8));
+            let message = "node set 'Q' holds node id 99, but the graph has only 8 nodes";
+            assert_eq!(err.to_string(), format!("graph error: {message}"));
+        }
+        remove([&g, &s]);
     }
 
     #[test]
     fn unknown_measure_and_set_names_error() {
         let (g, s) = fixture("err");
-        let base = [
-            "--graph",
-            g.to_str().unwrap(),
-            "--sets",
-            s.to_str().unwrap(),
-            "--left",
-            "P",
-            "--right",
-            "Q",
-        ];
-        let mut with_measure: Vec<&str> = base.to_vec();
-        with_measure.extend(["--measure", "adamic-adar"]);
-        assert!(run(&argmap(&with_measure)).is_err());
-
-        let mut bad_set: Vec<&str> = base.to_vec();
-        bad_set[7] = "Z";
+        assert!(join(&g, &s, &["--measure", "adamic-adar"]).is_err());
+        let (gp, sp) = (g.to_str().unwrap(), s.to_str().unwrap());
+        let bad_set = ["--graph", gp, "--sets", sp, "--left", "P", "--right", "Z"];
         let err = run(&argmap(&bad_set)).unwrap_err();
         assert!(err.to_string().contains("available sets"));
-        std::fs::remove_file(&g).ok();
-        std::fs::remove_file(&s).ok();
+        remove([&g, &s]);
     }
 }

@@ -14,7 +14,7 @@
 use std::fs;
 use std::path::Path;
 
-use dht_graph::{NodeId, NodeSet};
+use dht_graph::{Graph, NodeId, NodeSet};
 
 use crate::{CliError, Result};
 
@@ -67,6 +67,17 @@ pub fn read_node_sets_file(path: impl AsRef<Path>) -> Result<Vec<NodeSet>> {
         ))
     })?;
     parse_node_sets(&text)
+}
+
+/// Reads node sets from a file and checks every set against the graph they
+/// will be joined on, so an out-of-range id is a typed error naming the set,
+/// the id and the node count rather than a panic deep inside a join.
+pub fn read_node_sets_for(path: impl AsRef<Path>, graph: &Graph) -> Result<Vec<NodeSet>> {
+    let sets = read_node_sets_file(path)?;
+    for set in &sets {
+        graph.check_node_set(set)?;
+    }
+    Ok(sets)
 }
 
 /// Serialises node sets into the text format (stable ordering).

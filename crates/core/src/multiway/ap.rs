@@ -13,8 +13,8 @@ use dht_walks::QueryCtx;
 use crate::answer::PairScore;
 use crate::query::QueryGraph;
 use crate::stats::NWayStats;
-use crate::twoway::TwoWayAlgorithm;
-use crate::Result;
+use crate::twoway::{bbj, ColumnSource, TwoWayAlgorithm, TwoWayOutput};
+use crate::{Aggregate, Result};
 
 use super::pbrj::{self, EdgeListProvider};
 use super::{NWayConfig, NWayOutput};
@@ -75,7 +75,6 @@ pub fn run_with_ctx(
     ctx: &mut QueryCtx,
 ) -> Result<NWayOutput> {
     query.validate_node_sets(node_sets)?;
-    let mut stats = NWayStats::default();
     let threads = dht_par::effective_threads(config.threads);
 
     let edges: Vec<(usize, usize)> = query.edges().to_vec();
@@ -108,25 +107,50 @@ pub fn run_with_ctx(
             .collect()
     };
 
-    let mut lists = Vec::with_capacity(edges.len());
+    let floor = config.params.min_score();
+    rank_join(query, node_sets, config.aggregate, config.k, floor, outputs)
+}
+
+/// Runs AP over any [`ColumnSource`]: B-BJ builds the query edges'
+/// complete lists one after another, on the source's threads.
+pub fn run_over<S: ColumnSource>(
+    graph: &Graph,
+    source: &S,
+    query: &QueryGraph,
+    node_sets: &[NodeSet],
+    aggregate: Aggregate,
+    k: usize,
+    ctx: &mut QueryCtx,
+) -> Result<NWayOutput> {
+    query.validate_node_sets(node_sets)?;
+    let outputs = (query.edges().iter())
+        .map(|&(i, j)| {
+            let (p, q) = (&node_sets[i], &node_sets[j]);
+            bbj::top_k_over(graph, source, p, q, p.len() * q.len(), ctx)
+        })
+        .collect();
+    rank_join(query, node_sets, aggregate, k, source.floor(), outputs)
+}
+
+/// Combines the complete per-edge lists with the Pull/Bound Rank Join;
+/// `floor`, the score of an unconnected pair, tightens its bound.
+fn rank_join(
+    query: &QueryGraph,
+    node_sets: &[NodeSet],
+    aggregate: Aggregate,
+    k: usize,
+    floor: f64,
+    outputs: Vec<TwoWayOutput>,
+) -> Result<NWayOutput> {
+    let mut stats = NWayStats::default();
+    let mut lists = Vec::with_capacity(outputs.len());
     for out in outputs {
         stats.two_way_joins += 1;
         stats.two_way.absorb(&out.stats);
         lists.push(out.pairs);
     }
-
-    let mut provider = FullListProvider {
-        lists,
-        floor: config.params.min_score(),
-    };
-    let answers = pbrj::run(
-        query,
-        node_sets,
-        config.aggregate,
-        config.k,
-        &mut provider,
-        &mut stats,
-    )?;
+    let mut provider = FullListProvider { lists, floor };
+    let answers = pbrj::run(query, node_sets, aggregate, k, &mut provider, &mut stats)?;
     Ok(NWayOutput { answers, stats })
 }
 

@@ -20,7 +20,7 @@ use dht_walks::QueryCtx;
 
 use crate::stats::TwoWayStats;
 
-use super::{finalize_pairs, for_each_backward_column, TwoWayConfig, TwoWayOutput};
+use super::{finalize_pairs, ColumnSource, TwoWayConfig, TwoWayOutput};
 
 /// Runs B-BJ as a one-shot call and returns the top-`k` pairs.
 pub fn top_k(
@@ -44,12 +44,25 @@ pub fn top_k_with_ctx(
     k: usize,
     ctx: &mut QueryCtx,
 ) -> TwoWayOutput {
+    top_k_over(graph, config, p, q, k, ctx)
+}
+
+/// Runs B-BJ over any [`ColumnSource`]: one exact column per target.
+pub fn top_k_over<S: ColumnSource>(
+    graph: &Graph,
+    source: &S,
+    p: &NodeSet,
+    q: &NodeSet,
+    k: usize,
+    ctx: &mut QueryCtx,
+) -> TwoWayOutput {
+    let d = source.depth();
     let mut stats = TwoWayStats::default();
     let mut buffer = TopKBuffer::new(k);
     let targets: Vec<NodeId> = q.iter().collect();
-    for_each_backward_column(graph, config, config.d, &targets, ctx, |qn, scores| {
+    source.for_each_column(graph, d, &targets, ctx, |qn, scores| {
         stats.walk_invocations += 1;
-        stats.walk_steps += config.d as u64;
+        stats.walk_steps += d as u64;
         for pn in p.iter() {
             if pn == qn {
                 continue;

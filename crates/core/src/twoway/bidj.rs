@@ -24,13 +24,12 @@
 
 use dht_graph::{Graph, NodeId, NodeSet};
 use dht_rankjoin::TopKBuffer;
-use dht_walks::bounds::x_upper_bound;
 use dht_walks::QueryCtx;
 
 use crate::stats::TwoWayStats;
 
 use super::incremental::IncrementalState;
-use super::{finalize_pairs, for_each_backward_column, TwoWayConfig, TwoWayOutput};
+use super::{finalize_pairs, ColumnSource, TwoWayConfig, TwoWayOutput};
 
 /// Which upper-bound function `U_l⁺` drives the pruning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,17 +104,46 @@ pub fn top_k_with_ctx(
             state.set_engine(config.engine);
         }
     }
+    let bound_at = |l: usize, qn: NodeId| match &y_table {
+        Some(table) => table.bound(l, qn),
+        None => config.tail_bound(l),
+    };
+    deepen(graph, config, p, q, k, bound_at, incremental, stats, ctx)
+}
 
+/// Runs B-IDJ-X over any [`ColumnSource`], pruning with its tail bound.
+pub fn top_k_x_over<S: ColumnSource>(
+    graph: &Graph,
+    source: &S,
+    p: &NodeSet,
+    q: &NodeSet,
+    k: usize,
+    ctx: &mut QueryCtx,
+) -> TwoWayOutput {
+    let bound_at = |l: usize, _: NodeId| source.tail_bound(l);
+    let stats = TwoWayStats::default();
+    deepen(graph, source, p, q, k, bound_at, None, stats, ctx)
+}
+
+/// The deepening loop and final pass shared by every B-IDJ variant;
+/// `bound_at(l, q)` is the `U_l⁺` that prunes target `q` at level `l`.
+#[allow(clippy::too_many_arguments)]
+fn deepen<S: ColumnSource>(
+    graph: &Graph,
+    source: &S,
+    p: &NodeSet,
+    q: &NodeSet,
+    k: usize,
+    bound_at: impl Fn(usize, NodeId) -> f64,
+    mut incremental: Option<&mut IncrementalState<'_>>,
+    mut stats: TwoWayStats,
+    ctx: &mut QueryCtx,
+) -> TwoWayOutput {
+    let d = source.depth();
+    let floor = source.floor();
     let p_members = p.members();
     let mut alive: Vec<NodeId> = q.members().to_vec();
     stats.q_remaining_per_iteration.push(alive.len());
-
-    let bound_at = |l: usize, qn: NodeId| -> f64 {
-        match bound {
-            BoundKind::X => x_upper_bound(params, l),
-            BoundKind::Y => y_table.as_ref().expect("Y table built above").bound(l, qn),
-        }
-    };
 
     // One buffer and one bound list serve every level and the final pass.
     let mut buffer: TopKBuffer<(u32, u32)> = TopKBuffer::new(k);
@@ -127,11 +155,11 @@ pub fn top_k_with_ctx(
         // The l-step backward walks of the surviving targets run (possibly
         // in parallel) on the shared column streamer; bound bookkeeping
         // consumes them in target order, identical to a serial run.
-        for_each_backward_column(graph, config, l, &alive, ctx, |qn, scores| {
+        source.for_each_column(graph, l, &alive, ctx, |qn, scores| {
             stats.walk_invocations += 1;
             stats.walk_steps += l as u64;
             let u_bound = bound_at(l, qn);
-            let mut p_max = params.min_score();
+            let mut p_max = floor;
             let mut column = incremental.as_deref_mut().map(|s| s.column_mut(qn));
             for (i, &pn) in p_members.iter().enumerate() {
                 if pn == qn {
@@ -139,7 +167,7 @@ pub fn top_k_with_ctx(
                 }
                 let lower = scores[pn.index()];
                 stats.pairs_scored += 1;
-                if lower > params.min_score() {
+                if lower > floor {
                     buffer.insert(lower, (pn.0, qn.0));
                 }
                 if lower > p_max {
@@ -166,7 +194,7 @@ pub fn top_k_with_ctx(
 
     // Final pass: exact d-step scores for the surviving targets.
     buffer.clear();
-    for_each_backward_column(graph, config, d, &alive, ctx, |qn, scores| {
+    source.for_each_column(graph, d, &alive, ctx, |qn, scores| {
         stats.walk_invocations += 1;
         stats.walk_steps += d as u64;
         let mut column = incremental.as_deref_mut().map(|s| s.column_mut(qn));

@@ -9,7 +9,8 @@
 //! The forward algorithms ([`fbj`], [`fidj`]) walk from each source `p`
 //! towards each target `q`; the backward algorithms ([`bbj`], [`bidj`]) walk
 //! backwards from each target `q` and obtain the scores of *all* sources at
-//! once, which is why they are roughly `|P|` times faster.
+//! once, which is why they are roughly `|P|` times faster.  B-BJ, B-IDJ-X
+//! (and AP) run over any [`ColumnSource`], of which DHT is one.
 
 pub mod bbj;
 pub mod bidj;
@@ -17,8 +18,8 @@ pub mod fbj;
 pub mod fidj;
 pub mod incremental;
 
-use dht_graph::{Graph, NodeSet};
-use dht_walks::{DhtParams, QueryCtx, WalkEngine};
+use dht_graph::{Graph, NodeId, NodeSet};
+use dht_walks::{x_upper_bound, DhtParams, QueryCtx, WalkEngine};
 
 use crate::answer::PairScore;
 use crate::stats::TwoWayStats;
@@ -175,34 +176,58 @@ impl TwoWayAlgorithm {
     }
 }
 
-/// Streams the backward DHT score column of every target in `targets` (at
-/// walk depth `depth`) to `consume`, **in target order** — the shared
-/// backbone of B-BJ and both B-IDJ variants, routed through the session
-/// context.
-///
-/// Cache misses are computed in parallel chunks over `config.threads`
-/// workers (bounding peak memory to one chunk of `|V_G|`-sized columns)
-/// with scratches drawn from the context's pool; cache hits skip the walk
-/// entirely.  Consumption always runs in target order on the calling
-/// thread, so callers observe exactly the serial sequence at every thread
-/// count and cache temperature.
-pub(crate) fn for_each_backward_column(
-    graph: &Graph,
-    config: &TwoWayConfig,
-    depth: usize,
-    targets: &[dht_graph::NodeId],
-    ctx: &mut QueryCtx,
-    consume: impl FnMut(dht_graph::NodeId, &[f64]),
-) {
-    ctx.for_each_backward_column(
-        graph,
-        &config.params,
-        depth,
-        config.engine,
-        config.threads,
-        targets,
-        consume,
+/// What the backward joins (B-BJ, B-IDJ-X) and AP ask of a proximity
+/// measure: columns scoring every source against one target, a bound on
+/// what walk steps past a prefix can still add, and a floor.
+/// [`TwoWayConfig`] is the DHT source; `dht-measures` wraps the others.
+pub trait ColumnSource: Sync {
+    /// Walk depth of the exact columns.
+    fn depth(&self) -> usize;
+
+    /// Streams the depth-`l` column of every target to `consume` **in target
+    /// order** through the context's cache and scratch pool, whatever the
+    /// thread count and cache temperature.
+    fn for_each_column(
+        &self,
+        graph: &Graph,
+        l: usize,
+        targets: &[NodeId],
+        ctx: &mut QueryCtx,
+        consume: impl FnMut(NodeId, &[f64]),
     );
+
+    /// Upper bound on the score that walk steps past `l` can still add to a
+    /// depth-`l` column entry (the paper's `X_l⁺`); zero from `depth()` on.
+    fn tail_bound(&self, l: usize) -> f64;
+
+    /// The score of a pair no walk connects, and the least score there is.
+    fn floor(&self) -> f64;
+}
+
+impl ColumnSource for TwoWayConfig {
+    fn depth(&self) -> usize {
+        self.d
+    }
+
+    fn for_each_column(
+        &self,
+        graph: &Graph,
+        l: usize,
+        targets: &[NodeId],
+        ctx: &mut QueryCtx,
+        consume: impl FnMut(NodeId, &[f64]),
+    ) {
+        let (params, engine) = (&self.params, self.engine);
+        ctx.for_each_backward_column(graph, params, l, engine, self.threads, targets, consume);
+    }
+
+    fn tail_bound(&self, l: usize) -> f64 {
+        x_upper_bound(&self.params, l)
+    }
+
+    fn floor(&self) -> f64 {
+        self.params.min_score()
+    }
 }
 
 /// Builds the final sorted pair list from a top-k buffer.  The buffer's

@@ -14,6 +14,16 @@ pub enum GraphError {
         /// Number of nodes in the graph.
         node_count: usize,
     },
+    /// A node set names a node id the graph it was loaded for does not
+    /// have.
+    NodeSetOutOfRange {
+        /// Name of the offending set.
+        set: String,
+        /// The first out-of-range member.
+        node: u32,
+        /// Number of nodes in the graph.
+        node_count: usize,
+    },
     /// An edge weight was not a finite, strictly positive number.
     InvalidWeight {
         /// Source node of the edge.
@@ -64,6 +74,15 @@ impl fmt::Display for GraphError {
                     "node id {node} is out of range for a graph with {node_count} nodes"
                 )
             }
+            GraphError::NodeSetOutOfRange {
+                set,
+                node,
+                node_count,
+            } => write!(
+                f,
+                "node set '{set}' holds node id {node}, but the graph has only \
+                 {node_count} nodes"
+            ),
             GraphError::InvalidWeight { from, to, weight } => {
                 write!(f, "edge ({from}, {to}) has invalid weight {weight}; weights must be finite and > 0")
             }
@@ -117,6 +136,15 @@ mod tests {
         };
         assert!(e.to_string().contains("9"));
         assert!(e.to_string().contains("3"));
+
+        let e = GraphError::NodeSetOutOfRange {
+            set: "DB".into(),
+            node: 99,
+            node_count: 4,
+        };
+        assert!(e.to_string().contains("'DB'"));
+        assert!(e.to_string().contains("99"));
+        assert!(e.to_string().contains("4 nodes"));
 
         let e = GraphError::InvalidWeight {
             from: 1,

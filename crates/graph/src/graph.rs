@@ -12,7 +12,7 @@
 
 use crate::csr::Csr;
 use crate::node::NodeId;
-use crate::Result;
+use crate::{GraphError, NodeSet, Result};
 
 /// Immutable directed weighted graph with pre-computed random-walk transition
 /// probabilities.
@@ -189,6 +189,20 @@ impl Graph {
     /// Iterator over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.node_count as u32).map(NodeId)
+    }
+
+    /// Checks that every member of `set` is a node of this graph.  Whoever
+    /// loads node sets for a graph calls this once, so the joins can index
+    /// score columns by member id without a bounds check per pair.
+    pub fn check_node_set(&self, set: &NodeSet) -> Result<()> {
+        match set.iter().find(|u| u.index() >= self.node_count) {
+            Some(node) => Err(GraphError::NodeSetOutOfRange {
+                set: set.name().to_string(),
+                node: node.0,
+                node_count: self.node_count,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Out-degree of `u`.

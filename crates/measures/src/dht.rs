@@ -1,16 +1,16 @@
 //! The paper's own DHT exposed through the [`ProximityMeasure`] traits.
 //!
-//! This adapter lets the generic joins of [`crate::join`] and the comparison
+//! This adapter lets the measure joins of [`crate::join`] and the comparison
 //! experiments treat DHT, Personalized PageRank, SimRank, … uniformly.  It
 //! delegates to the walk engines of `dht-walks`, so the scores are exactly
 //! the ones the dedicated join algorithms in `dht-core` compute.
 
 use dht_graph::{Graph, NodeId};
-use dht_walks::backward::backward_dht_all_sources;
+use dht_walks::backward::backward_dht_into;
 use dht_walks::forward::forward_dht;
-use dht_walks::DhtParams;
+use dht_walks::{DhtParams, WalkEngine, WalkScratch};
 
-use crate::measure::{IterativeMeasure, ProximityMeasure};
+use crate::measure::ProximityMeasure;
 use crate::{MeasureError, Result};
 
 /// Truncated discounted hitting time `h_d(u, v)` as a [`ProximityMeasure`].
@@ -54,8 +54,17 @@ impl ProximityMeasure for DhtMeasure {
         forward_dht(graph, &self.params, u, v, self.depth)
     }
 
-    fn scores_to_target(&self, graph: &Graph, v: NodeId) -> Vec<f64> {
-        backward_dht_all_sources(graph, &self.params, v, self.depth)
+    fn column(
+        &self,
+        graph: &Graph,
+        v: NodeId,
+        steps: usize,
+        engine: WalkEngine,
+        scratch: &mut WalkScratch,
+    ) -> Vec<f64> {
+        let (d, mut out) = (steps.clamp(1, self.depth), Vec::new());
+        backward_dht_into(graph, &self.params, v, d, engine, scratch, &mut out);
+        out
     }
 
     fn min_score(&self) -> f64 {
@@ -77,15 +86,9 @@ impl ProximityMeasure for DhtMeasure {
             ],
         ))
     }
-}
 
-impl IterativeMeasure for DhtMeasure {
     fn depth(&self) -> usize {
         self.depth
-    }
-
-    fn partial_scores_to_target(&self, graph: &Graph, v: NodeId, l: usize) -> Vec<f64> {
-        backward_dht_all_sources(graph, &self.params, v, l.min(self.depth).max(1))
     }
 
     fn tail_bound(&self, l: usize) -> f64 {
@@ -101,6 +104,7 @@ impl IterativeMeasure for DhtMeasure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure::IterativeMeasure;
     use dht_graph::GraphBuilder;
 
     fn small_graph() -> Graph {

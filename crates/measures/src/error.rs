@@ -28,14 +28,6 @@ pub enum MeasureError {
         /// The configured limit.
         limit: usize,
     },
-    /// The two node sets of a join overlap where the measure forbids it, or a
-    /// node set references a node outside the graph.
-    NodeOutOfBounds {
-        /// The offending node id.
-        node: u32,
-        /// Number of nodes in the graph.
-        nodes: usize,
-    },
     /// An n-way join was configured inconsistently (delegates to the same
     /// validation as `dht-core`); the string carries the underlying reason.
     InvalidJoin(String),
@@ -55,9 +47,6 @@ impl fmt::Display for MeasureError {
                 "graph has {nodes} nodes but the dense solver is limited to {limit}; \
                  raise the limit explicitly or use the Monte-Carlo estimator"
             ),
-            MeasureError::NodeOutOfBounds { node, nodes } => {
-                write!(f, "node {node} is outside the graph (node count {nodes})")
-            }
             MeasureError::InvalidJoin(reason) => write!(f, "invalid join configuration: {reason}"),
         }
     }
@@ -87,9 +76,6 @@ mod tests {
         }
         .to_string()
         .contains("10"));
-        assert!(MeasureError::NodeOutOfBounds { node: 9, nodes: 3 }
-            .to_string()
-            .contains("9"));
         assert!(MeasureError::InvalidJoin("empty".into())
             .to_string()
             .contains("empty"));

@@ -24,10 +24,11 @@
 //! claims of the papers the DHT variants come from.
 
 use dht_graph::{Graph, NodeId};
-use dht_walks::backward::backward_hitting_probabilities;
 use dht_walks::forward::hitting_probabilities;
+use dht_walks::EdgeValues::Probabilities;
+use dht_walks::{WalkEngine, WalkScratch};
 
-use crate::measure::{IterativeMeasure, ProximityMeasure};
+use crate::measure::ProximityMeasure;
 use crate::{MeasureError, Result};
 
 /// Normalised truncated hitting-time similarity.
@@ -43,11 +44,6 @@ impl TruncatedHittingTime {
             return Err(MeasureError::ZeroCount { name: "depth" });
         }
         Ok(TruncatedHittingTime { depth })
-    }
-
-    /// The truncation depth `d`.
-    pub fn depth_steps(&self) -> usize {
-        self.depth
     }
 
     /// The raw truncated hitting time (a distance in `[1, d]`) from the
@@ -66,31 +62,6 @@ impl TruncatedHittingTime {
     /// Converts a distance in `[1, d]` into the normalised similarity.
     fn similarity(&self, distance: f64) -> f64 {
         (self.depth as f64 - distance) / self.depth as f64
-    }
-
-    /// Similarity column computed from backward first-hit probabilities using
-    /// only walks of length at most `l`.
-    fn column(&self, graph: &Graph, v: NodeId, l: usize) -> Vec<f64> {
-        let n = graph.node_count();
-        if n == 0 || v.index() >= n {
-            return vec![0.0; n];
-        }
-        let per_step = backward_hitting_probabilities(graph, v, l.min(self.depth));
-        let d = self.depth as f64;
-        let mut out = Vec::with_capacity(n);
-        for u in 0..n {
-            let mut expected = 0.0;
-            let mut arrived = 0.0;
-            for (i, step) in per_step.iter().enumerate() {
-                expected += (i + 1) as f64 * step[u];
-                arrived += step[u];
-            }
-            let distance = expected + d * (1.0 - arrived.min(1.0));
-            out.push(self.similarity(distance));
-        }
-        // Self-similarity: a walker standing on the target has distance 0.
-        out[v.index()] = self.max_score();
-        out
     }
 }
 
@@ -111,8 +82,39 @@ impl ProximityMeasure for TruncatedHittingTime {
         self.similarity(self.distance_from_hits(&hits))
     }
 
-    fn scores_to_target(&self, graph: &Graph, v: NodeId) -> Vec<f64> {
-        self.column(graph, v, self.depth)
+    /// Similarity column from the backward first-hit probabilities of walks
+    /// of length at most `steps`.
+    fn column(
+        &self,
+        graph: &Graph,
+        v: NodeId,
+        steps: usize,
+        engine: WalkEngine,
+        scratch: &mut WalkScratch,
+    ) -> Vec<f64> {
+        let n = graph.node_count();
+        let mut out = vec![0.0; n];
+        if v.index() >= n {
+            return out;
+        }
+        // `out` collects the arrival probability, `expected` the step count.
+        let mut expected = vec![0.0; n];
+        scratch.begin(n, [v]);
+        for i in 1..=steps.min(self.depth) {
+            // From step 2 on the target absorbs: first-hit probabilities.
+            scratch.step_backward(graph, v, i > 1, Probabilities, engine);
+            scratch.for_each_nonzero(|u, p| {
+                expected[u] += i as f64 * p;
+                out[u] += p;
+            });
+        }
+        let d = self.depth as f64;
+        for (s, &expected) in out.iter_mut().zip(&expected) {
+            *s = self.similarity(expected + d * (1.0 - s.min(1.0)));
+        }
+        // Self-similarity: a walker standing on the target has distance 0.
+        out[v.index()] = self.max_score();
+        out
     }
 
     fn min_score(&self) -> f64 {
@@ -129,15 +131,9 @@ impl ProximityMeasure for TruncatedHittingTime {
             &[self.depth as u64],
         ))
     }
-}
 
-impl IterativeMeasure for TruncatedHittingTime {
     fn depth(&self) -> usize {
         self.depth
-    }
-
-    fn partial_scores_to_target(&self, graph: &Graph, v: NodeId, l: usize) -> Vec<f64> {
-        self.column(graph, v, l)
     }
 
     fn tail_bound(&self, l: usize) -> f64 {
@@ -154,6 +150,7 @@ impl IterativeMeasure for TruncatedHittingTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure::IterativeMeasure;
     use dht_graph::GraphBuilder;
 
     fn path(n: usize) -> Graph {

@@ -1,93 +1,29 @@
-//! Generic top-k joins over any [`ProximityMeasure`].
-//!
-//! These functions generalise the paper's join algorithms beyond DHT:
-//!
-//! * [`measure_two_way_top_k`] mirrors **B-BJ**: one bulk column per target,
-//!   feeding a bounded top-k buffer;
-//! * [`measure_two_way_top_k_pruned`] mirrors **B-IDJ-X**: iterative
-//!   deepening with the measure's own tail bound pruning whole targets
-//!   before the final deep pass (requires [`IterativeMeasure`]);
-//! * [`measure_nway_top_k`] mirrors **AP**: a complete 2-way join per query
-//!   edge followed by the same Pull/Bound Rank Join driver that the DHT
-//!   n-way algorithms use (`dht-core`'s PBRJ is reused verbatim through its
-//!   [`EdgeListProvider`] abstraction).
-//!
-//! The point of the exercise — and what the integration tests check — is
-//! that the *structure* of the paper's solution carries over unchanged: only
-//! the measure changes.
+//! Top-k joins over any [`ProximityMeasure`]: one-shot entry points that
+//! hand the measure's [`MeasureSource`] to `dht-core`'s B-BJ, B-IDJ-X and
+//! AP.  A caller holding a session [`QueryCtx`] calls those
+//! (`bbj::top_k_over`, `bidj::top_k_x_over`, `ap::run_over`) directly, so
+//! the columns share the context's cache.
 
-use dht_core::answer::{sort_pairs, Answer, PairScore};
-use dht_core::multiway::pbrj::{self, EdgeListProvider};
-use dht_core::{Aggregate, NWayStats, QueryGraph};
+use dht_core::answer::PairScore;
+use dht_core::multiway::{ap, NWayOutput};
+use dht_core::twoway::{bbj, bidj};
+use dht_core::{Aggregate, QueryCtx, QueryGraph};
 use dht_graph::{Graph, NodeSet};
-use dht_rankjoin::TopKBuffer;
-use dht_walks::cache::custom_column_sig;
-use dht_walks::QueryCtx;
+use dht_walks::WalkEngine;
 
-use crate::measure::{IterativeMeasure, ProximityMeasure};
+use crate::measure::{IterativeMeasure, MeasureSource, ProximityMeasure};
 use crate::{MeasureError, Result};
 
-/// A scored node pair produced by a generic 2-way join (same layout as the
-/// DHT joins' [`PairScore`]).
+/// A scored node pair produced by a measure 2-way join (the DHT joins'
+/// [`PairScore`]).
 pub type MeasurePair = PairScore;
 
-/// Result of a generic n-way join.
-#[derive(Debug, Clone)]
-pub struct MeasureNWayOutput {
-    /// The top-k answers, sorted by descending aggregate score.
-    pub answers: Vec<Answer>,
-    /// Rank-join counters (pairs pulled, candidates generated, …).
-    pub stats: NWayStats,
-}
-
-/// The cache signature of a measure's *partial* (depth-`l`) columns,
-/// derived from its full-column signature so partial and full columns never
-/// alias.
-fn partial_sig(full: u64, l: usize) -> u64 {
-    custom_column_sig("partial", &[full, l as u64])
-}
-
-/// Streams per-target score columns to `consume` in target order, computing
-/// them with up to `threads` workers (the same chunked, order-preserving
-/// backbone the core joins use), so peak memory stays at one chunk of
-/// `|V_G|`-sized columns and results are identical at every thread count.
-///
-/// With `sig = Some(_)` the columns are routed through the session
-/// context's shared column cache (misses computed in parallel, hits served
-/// without any work); with `None` — a measure that opted out of caching —
-/// every column is computed fresh.
-fn for_each_column<F>(
-    graph: &Graph,
-    ctx: &mut QueryCtx,
-    sig: Option<u64>,
-    targets: &[dht_graph::NodeId],
-    threads: usize,
-    produce: F,
-    mut consume: impl FnMut(dht_graph::NodeId, &[f64]),
-) where
-    F: Fn(dht_graph::NodeId) -> Vec<f64> + Sync,
-{
-    match sig {
-        Some(sig) => ctx.for_each_column_cached(
-            graph,
-            sig,
-            threads,
-            targets,
-            |_scratch, target| produce(target),
-            consume,
-        ),
-        None => dht_par::stream_map_ordered(
-            threads,
-            targets,
-            || (),
-            |(), &target| produce(target),
-            |&target, column| consume(target, &column),
-        ),
-    }
-}
+/// Result of a measure n-way join: the top-k answers (descending aggregate
+/// score) and the rank-join counters.
+pub type MeasureNWayOutput = NWayOutput;
 
 /// Top-k 2-way join of `p ⋈ q` under an arbitrary measure, B-BJ style:
-/// one bulk column per target node.
+/// one bulk column per target node, on the default walk engine.
 ///
 /// Pairs with identical left and right node are skipped (the paper's joins
 /// never score a node against itself).  Ties are broken by node ids so the
@@ -99,57 +35,22 @@ pub fn measure_two_way_top_k<M: ProximityMeasure + Sync + ?Sized>(
     q: &NodeSet,
     k: usize,
 ) -> Vec<MeasurePair> {
-    measure_two_way_top_k_threaded(graph, measure, p, q, k, 1)
+    measure_two_way_top_k_threaded(graph, measure, p, q, k, WalkEngine::default(), 1)
 }
 
-/// [`measure_two_way_top_k`] with the per-target bulk evaluations (the
-/// dominant cost: one full PPR / hitting-time / DHT sweep per target) fanned
-/// out over `threads` workers.  Results are identical to the serial join at
-/// every thread count.
+/// [`measure_two_way_top_k`] with the columns walked on `engine` and built
+/// on `threads` workers.  Results are identical at every thread count.
 pub fn measure_two_way_top_k_threaded<M: ProximityMeasure + Sync + ?Sized>(
     graph: &Graph,
     measure: &M,
     p: &NodeSet,
     q: &NodeSet,
     k: usize,
+    engine: WalkEngine,
     threads: usize,
 ) -> Vec<MeasurePair> {
-    measure_two_way_top_k_ctx(graph, measure, p, q, k, threads, &mut QueryCtx::one_shot())
-}
-
-/// [`measure_two_way_top_k_threaded`] through a session context: bulk
-/// columns of measures that provide a
-/// [`ProximityMeasure::column_signature`] are served from (and fill) the
-/// context's shared column cache — the same cache the DHT joins of
-/// `dht-core` use.  Results are bit-identical at every cache state.
-pub fn measure_two_way_top_k_ctx<M: ProximityMeasure + Sync + ?Sized>(
-    graph: &Graph,
-    measure: &M,
-    p: &NodeSet,
-    q: &NodeSet,
-    k: usize,
-    threads: usize,
-    ctx: &mut QueryCtx,
-) -> Vec<MeasurePair> {
-    let targets: Vec<dht_graph::NodeId> = q.iter().collect();
-    let mut buffer: TopKBuffer<(u32, u32)> = TopKBuffer::new(k);
-    for_each_column(
-        graph,
-        ctx,
-        measure.column_signature(),
-        &targets,
-        threads,
-        |target| measure.scores_to_target(graph, target),
-        |target, column| {
-            for source in p.iter() {
-                if source == target || source.index() >= column.len() {
-                    continue;
-                }
-                buffer.insert(column[source.index()], (source.0, target.0));
-            }
-        },
-    );
-    finalize(buffer)
+    let source = MeasureSource::new(measure, engine, threads);
+    bbj::top_k_over(graph, &source, p, q, k, &mut QueryCtx::one_shot()).pairs
 }
 
 /// Top-k 2-way join with iterative-deepening pruning, B-IDJ-X style.
@@ -166,132 +67,8 @@ pub fn measure_two_way_top_k_pruned<M: IterativeMeasure + Sync + ?Sized>(
     q: &NodeSet,
     k: usize,
 ) -> Vec<MeasurePair> {
-    measure_two_way_top_k_pruned_threaded(graph, measure, p, q, k, 1)
-}
-
-/// [`measure_two_way_top_k_pruned`] with the per-target partial and exact
-/// sweeps of every deepening round fanned out over `threads` workers.
-/// Results are identical to the serial join at every thread count.
-pub fn measure_two_way_top_k_pruned_threaded<M: IterativeMeasure + Sync + ?Sized>(
-    graph: &Graph,
-    measure: &M,
-    p: &NodeSet,
-    q: &NodeSet,
-    k: usize,
-    threads: usize,
-) -> Vec<MeasurePair> {
-    measure_two_way_top_k_pruned_ctx(graph, measure, p, q, k, threads, &mut QueryCtx::one_shot())
-}
-
-/// [`measure_two_way_top_k_pruned_threaded`] through a session context:
-/// both the partial (per deepening level) and the exact columns are cached,
-/// keyed so they never alias each other.
-pub fn measure_two_way_top_k_pruned_ctx<M: IterativeMeasure + Sync + ?Sized>(
-    graph: &Graph,
-    measure: &M,
-    p: &NodeSet,
-    q: &NodeSet,
-    k: usize,
-    threads: usize,
-    ctx: &mut QueryCtx,
-) -> Vec<MeasurePair> {
-    if k == 0 || p.is_empty() || q.is_empty() {
-        return Vec::new();
-    }
-    let full_sig = measure.column_signature();
-    let d = measure.depth();
-    let mut remaining: Vec<_> = q.iter().collect();
-    let mut l = 1usize;
-    while l < d && remaining.len() > 1 {
-        // Lower bounds at depth l for every surviving target.
-        let mut lower: TopKBuffer<(u32, u32)> = TopKBuffer::new(k);
-        let mut upper_per_target = Vec::with_capacity(remaining.len());
-        for_each_column(
-            graph,
-            ctx,
-            full_sig.map(|sig| partial_sig(sig, l)),
-            &remaining,
-            threads,
-            |target| measure.partial_scores_to_target(graph, target, l),
-            |target, partial| {
-                let mut best_partial = f64::NEG_INFINITY;
-                for source in p.iter() {
-                    if source == target || source.index() >= partial.len() {
-                        continue;
-                    }
-                    let s = partial[source.index()];
-                    lower.insert(s, (source.0, target.0));
-                    if s > best_partial {
-                        best_partial = s;
-                    }
-                }
-                upper_per_target.push(best_partial + measure.tail_bound(l));
-            },
-        );
-        if lower.is_full() {
-            let tk = lower.kth_score().expect("full buffer has a k-th score");
-            let kept: Vec<_> = remaining
-                .iter()
-                .zip(upper_per_target.iter())
-                .filter(|&(_, &ub)| ub >= tk)
-                .map(|(&t, _)| t)
-                .collect();
-            // Keep at least one target so the final pass always has work.
-            if !kept.is_empty() {
-                remaining = kept;
-            }
-        }
-        l *= 2;
-    }
-    // Final full-depth pass over the surviving targets.
-    let mut buffer: TopKBuffer<(u32, u32)> = TopKBuffer::new(k);
-    for_each_column(
-        graph,
-        ctx,
-        full_sig,
-        &remaining,
-        threads,
-        |target| measure.scores_to_target(graph, target),
-        |target, column| {
-            for source in p.iter() {
-                if source == target || source.index() >= column.len() {
-                    continue;
-                }
-                buffer.insert(column[source.index()], (source.0, target.0));
-            }
-        },
-    );
-    finalize(buffer)
-}
-
-fn finalize(buffer: TopKBuffer<(u32, u32)>) -> Vec<MeasurePair> {
-    let mut pairs: Vec<MeasurePair> = buffer
-        .into_sorted_desc()
-        .into_iter()
-        .map(|(score, (l, r))| PairScore::new(dht_graph::NodeId(l), dht_graph::NodeId(r), score))
-        .collect();
-    sort_pairs(&mut pairs);
-    pairs
-}
-
-/// Complete per-edge lists pre-computed from a measure, exposed to the PBRJ
-/// driver of `dht-core`.
-struct PrecomputedLists {
-    lists: Vec<Vec<PairScore>>,
-    floor: f64,
-}
-
-impl EdgeListProvider for PrecomputedLists {
-    fn get(&mut self, edge: usize, index: usize, _stats: &mut NWayStats) -> Option<PairScore> {
-        self.lists
-            .get(edge)
-            .and_then(|list| list.get(index))
-            .copied()
-    }
-
-    fn floor(&self) -> f64 {
-        self.floor
-    }
+    let source = MeasureSource::new(measure, WalkEngine::default(), 1);
+    bidj::top_k_x_over(graph, &source, p, q, k, &mut QueryCtx::one_shot()).pairs
 }
 
 /// Top-k n-way join under an arbitrary measure, AP style: a complete 2-way
@@ -307,12 +84,13 @@ pub fn measure_nway_top_k<M: ProximityMeasure + Sync + ?Sized>(
     aggregate: Aggregate,
     k: usize,
 ) -> Result<MeasureNWayOutput> {
-    measure_nway_top_k_threaded(graph, measure, query, node_sets, aggregate, k, 1)
+    let engine = WalkEngine::default();
+    measure_nway_top_k_threaded(graph, measure, query, node_sets, aggregate, k, engine, 1)
 }
 
-/// [`measure_nway_top_k`] with the per-edge 2-way joins running
-/// concurrently on `threads` workers (each inner join serial, so workers
-/// are not oversubscribed).  Results are identical to the serial join.
+/// [`measure_nway_top_k`] with the columns walked on `engine` and built on
+/// `threads` workers.  Results are identical to the serial join.
+#[allow(clippy::too_many_arguments)]
 pub fn measure_nway_top_k_threaded<M: ProximityMeasure + Sync + ?Sized>(
     graph: &Graph,
     measure: &M,
@@ -320,96 +98,13 @@ pub fn measure_nway_top_k_threaded<M: ProximityMeasure + Sync + ?Sized>(
     node_sets: &[NodeSet],
     aggregate: Aggregate,
     k: usize,
+    engine: WalkEngine,
     threads: usize,
 ) -> Result<MeasureNWayOutput> {
-    measure_nway_top_k_ctx(
-        graph,
-        measure,
-        query,
-        node_sets,
-        aggregate,
-        k,
-        threads,
-        &mut QueryCtx::one_shot(),
-    )
-}
-
-/// [`measure_nway_top_k_threaded`] through a session context.  On the
-/// serial path every per-edge join shares the context's column cache, so
-/// query edges with a common node set reuse each other's columns; the
-/// concurrent path forks the context per worker ([`QueryCtx::fork`]), so a
-/// session backed by a cross-session `SharedColumnCache` keeps sharing
-/// columns across edges and threads (a session-private cache degrades to
-/// one-shot worker contexts, as before).
-#[allow(clippy::too_many_arguments)]
-pub fn measure_nway_top_k_ctx<M: ProximityMeasure + Sync + ?Sized>(
-    graph: &Graph,
-    measure: &M,
-    query: &QueryGraph,
-    node_sets: &[NodeSet],
-    aggregate: Aggregate,
-    k: usize,
-    threads: usize,
-    ctx: &mut QueryCtx,
-) -> Result<MeasureNWayOutput> {
-    let mut stats = NWayStats::default();
-    let edges: Vec<(usize, usize)> = query.edges().to_vec();
-    for &(from, to) in &edges {
-        if node_sets.get(from).is_none() || node_sets.get(to).is_none() {
-            return Err(MeasureError::InvalidJoin(format!(
-                "query edge ({from}, {to}) references a missing node set \
-                 (only {} sets supplied)",
-                node_sets.len()
-            )));
-        }
-    }
-    let full_k =
-        |&(from, to): &(usize, usize)| node_sets[from].len().saturating_mul(node_sets[to].len());
-    let lists: Vec<Vec<MeasurePair>> = if dht_par::effective_threads(threads) > 1 && edges.len() > 1
-    {
-        {
-            let worker_ctx = &*ctx;
-            dht_par::parallel_map_init(
-                threads,
-                &edges,
-                || worker_ctx.fork(),
-                |ctx, _, edge @ &(from, to)| {
-                    measure_two_way_top_k_ctx(
-                        graph,
-                        measure,
-                        &node_sets[from],
-                        &node_sets[to],
-                        full_k(edge),
-                        1,
-                        ctx,
-                    )
-                },
-            )
-        }
-    } else {
-        edges
-            .iter()
-            .map(|edge @ &(from, to)| {
-                measure_two_way_top_k_ctx(
-                    graph,
-                    measure,
-                    &node_sets[from],
-                    &node_sets[to],
-                    full_k(edge),
-                    threads,
-                    ctx,
-                )
-            })
-            .collect()
-    };
-    stats.two_way_joins = edges.len() as u64;
-    let mut provider = PrecomputedLists {
-        lists,
-        floor: measure.min_score(),
-    };
-    let answers = pbrj::run(query, node_sets, aggregate, k, &mut provider, &mut stats)
-        .map_err(|e| MeasureError::InvalidJoin(e.to_string()))?;
-    Ok(MeasureNWayOutput { answers, stats })
+    let source = MeasureSource::new(measure, engine, threads);
+    let mut ctx = QueryCtx::one_shot();
+    ap::run_over(graph, &source, query, node_sets, aggregate, k, &mut ctx)
+        .map_err(|e| MeasureError::InvalidJoin(e.to_string()))
 }
 
 #[cfg(test)]
@@ -591,20 +286,23 @@ mod tests {
         let (a, b, c) = sets();
         let ppr = PersonalizedPageRank::new(0.8, 8).unwrap();
         let dht = DhtMeasure::paper_default();
+        let engine = WalkEngine::default();
         for threads in [2usize, 4, 0] {
             let serial = measure_two_way_top_k(&g, &ppr, &a, &b, 6);
-            let parallel = measure_two_way_top_k_threaded(&g, &ppr, &a, &b, 6, threads);
+            let parallel = measure_two_way_top_k_threaded(&g, &ppr, &a, &b, 6, engine, threads);
             assert_eq!(serial, parallel, "2-way, threads={threads}");
 
             let serial = measure_two_way_top_k_pruned(&g, &dht, &a, &c, 4);
-            let parallel = measure_two_way_top_k_pruned_threaded(&g, &dht, &a, &c, 4, threads);
-            assert_eq!(serial, parallel, "pruned, threads={threads}");
+            let source = MeasureSource::new(&dht, engine, threads);
+            let parallel = bidj::top_k_x_over(&g, &source, &a, &c, 4, &mut QueryCtx::one_shot());
+            assert_eq!(serial, parallel.pairs, "pruned, threads={threads}");
 
             let query = QueryGraph::chain(3);
             let sets3 = [a.clone(), b.clone(), c.clone()];
-            let serial = measure_nway_top_k(&g, &ppr, &query, &sets3, Aggregate::Sum, 5).unwrap();
+            let sum = Aggregate::Sum;
+            let serial = measure_nway_top_k(&g, &ppr, &query, &sets3, sum, 5).unwrap();
             let parallel =
-                measure_nway_top_k_threaded(&g, &ppr, &query, &sets3, Aggregate::Sum, 5, threads)
+                measure_nway_top_k_threaded(&g, &ppr, &query, &sets3, sum, 5, engine, threads)
                     .unwrap();
             assert_eq!(serial.answers, parallel.answers, "n-way, threads={threads}");
         }
@@ -616,26 +314,22 @@ mod tests {
         let (a, b, c) = sets();
         let ppr = PersonalizedPageRank::new(0.8, 8).unwrap();
         let dht = DhtMeasure::paper_default();
+        let engine = WalkEngine::default();
+        let ppr_source = MeasureSource::new(&ppr, engine, 1);
+        let dht_source = MeasureSource::new(&dht, engine, 1);
         let mut ctx = QueryCtx::with_byte_budget(1 << 20);
         for pass in 0..2 {
-            let warm = measure_two_way_top_k_ctx(&g, &ppr, &a, &b, 6, 1, &mut ctx);
-            assert_eq!(
-                warm,
-                measure_two_way_top_k(&g, &ppr, &a, &b, 6),
-                "pass {pass}"
-            );
-            let warm = measure_two_way_top_k_pruned_ctx(&g, &dht, &a, &c, 4, 1, &mut ctx);
-            assert_eq!(
-                warm,
-                measure_two_way_top_k_pruned(&g, &dht, &a, &c, 4),
-                "pass {pass}"
-            );
+            let warm = bbj::top_k_over(&g, &ppr_source, &a, &b, 6, &mut ctx);
+            let cold = measure_two_way_top_k(&g, &ppr, &a, &b, 6);
+            assert_eq!(warm.pairs, cold, "pass {pass}");
+            let warm = bidj::top_k_x_over(&g, &dht_source, &a, &c, 4, &mut ctx);
+            let cold = measure_two_way_top_k_pruned(&g, &dht, &a, &c, 4);
+            assert_eq!(warm.pairs, cold, "pass {pass}");
             let query = QueryGraph::chain(3);
             let sets3 = [a.clone(), b.clone(), c.clone()];
-            let warm =
-                measure_nway_top_k_ctx(&g, &ppr, &query, &sets3, Aggregate::Sum, 5, 1, &mut ctx)
-                    .unwrap();
-            let cold = measure_nway_top_k(&g, &ppr, &query, &sets3, Aggregate::Sum, 5).unwrap();
+            let sum = Aggregate::Sum;
+            let warm = ap::run_over(&g, &ppr_source, &query, &sets3, sum, 5, &mut ctx).unwrap();
+            let cold = measure_nway_top_k(&g, &ppr, &query, &sets3, sum, 5).unwrap();
             assert_eq!(warm.answers, cold.answers, "pass {pass}");
         }
         let stats = ctx.column_stats();

@@ -16,15 +16,14 @@
 //!
 //! As with the other series measures, the sum is truncated at a depth `d`.
 //! With probability-normalised counts ([`KatzMode::Transition`]) the tail is
-//! bounded by a geometric series, so the measure also implements
-//! [`IterativeMeasure`] and works with the generic pruned join.  With raw
-//! weighted counts ([`KatzMode::Weighted`]) the series may diverge, so only
-//! the plain [`ProximityMeasure`] interface is exposed through a documented
-//! finite truncation.
+//! bounded by a geometric series, which the pruned join prunes with.  With
+//! raw weighted counts ([`KatzMode::Weighted`]) the series may diverge: the
+//! tail bound is infinite, so pruning never fires.
 
 use dht_graph::{Graph, NodeId};
+use dht_walks::{EdgeValues, WalkEngine, WalkScratch};
 
-use crate::measure::{push_step, push_step_weighted, IterativeMeasure, ProximityMeasure};
+use crate::measure::ProximityMeasure;
 use crate::{MeasureError, Result};
 
 /// How walks are counted by the Katz index.
@@ -85,30 +84,6 @@ impl KatzIndex {
     pub fn mode(&self) -> KatzMode {
         self.mode
     }
-
-    fn column(&self, graph: &Graph, target: NodeId, l: usize) -> Vec<f64> {
-        let n = graph.node_count();
-        let mut scores = vec![0.0; n];
-        if n == 0 || target.index() >= n {
-            return scores;
-        }
-        let mut current = vec![0.0; n];
-        current[target.index()] = 1.0;
-        let mut next = vec![0.0; n];
-        let mut discount = 1.0;
-        for _ in 1..=l.min(self.depth) {
-            match self.mode {
-                KatzMode::Transition => push_step(graph, &current, &mut next),
-                KatzMode::Weighted => push_step_weighted(graph, &current, &mut next),
-            }
-            std::mem::swap(&mut current, &mut next);
-            discount *= self.beta;
-            for (s, &w) in scores.iter_mut().zip(current.iter()) {
-                *s += discount * w;
-            }
-        }
-        scores
-    }
 }
 
 impl ProximityMeasure for KatzIndex {
@@ -120,15 +95,31 @@ impl ProximityMeasure for KatzIndex {
     }
 
     fn score(&self, graph: &Graph, u: NodeId, v: NodeId) -> f64 {
-        let n = graph.node_count();
-        if n == 0 || u.index() >= n || v.index() >= n {
-            return 0.0;
-        }
-        self.column(graph, v, self.depth)[u.index()]
+        let column = self.scores_to_target(graph, v);
+        column.get(u.index()).copied().unwrap_or(0.0)
     }
 
-    fn scores_to_target(&self, graph: &Graph, v: NodeId) -> Vec<f64> {
-        self.column(graph, v, self.depth)
+    fn column(
+        &self,
+        graph: &Graph,
+        v: NodeId,
+        steps: usize,
+        engine: WalkEngine,
+        scratch: &mut WalkScratch,
+    ) -> Vec<f64> {
+        let mut out = vec![0.0; graph.node_count()];
+        let values = match self.mode {
+            KatzMode::Transition => EdgeValues::Probabilities,
+            KatzMode::Weighted => EdgeValues::Weights,
+        };
+        let mut discount = 1.0;
+        scratch.begin(graph.node_count(), [v]);
+        for _ in 0..steps.min(self.depth) {
+            scratch.step_backward(graph, v, false, values, engine);
+            discount *= self.beta;
+            scratch.for_each_nonzero(|u, w| out[u] += discount * w);
+        }
+        out
     }
 
     fn min_score(&self) -> f64 {
@@ -155,15 +146,9 @@ impl ProximityMeasure for KatzIndex {
             &[self.beta.to_bits(), self.depth as u64, mode],
         ))
     }
-}
 
-impl IterativeMeasure for KatzIndex {
     fn depth(&self) -> usize {
         self.depth
-    }
-
-    fn partial_scores_to_target(&self, graph: &Graph, v: NodeId, l: usize) -> Vec<f64> {
-        self.column(graph, v, l)
     }
 
     fn tail_bound(&self, l: usize) -> f64 {
@@ -187,6 +172,7 @@ impl IterativeMeasure for KatzIndex {
 mod tests {
     use super::*;
     use crate::join::{measure_two_way_top_k, measure_two_way_top_k_pruned};
+    use crate::measure::IterativeMeasure;
     use dht_graph::{GraphBuilder, NodeSet};
 
     fn path(n: usize) -> Graph {

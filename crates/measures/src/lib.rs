@@ -1,16 +1,15 @@
 //! # dht-measures
 //!
-//! Alternative random-walk proximity measures and generic top-k joins over
-//! them.
+//! Alternative random-walk proximity measures, joined by `dht-core`'s own
+//! top-k joins.
 //!
 //! The ICDE 2014 paper closes with: *"We plan to extend the study of n-way
 //! join for other proximity measures on graphs, including Personalized
 //! PageRank, SimRank, and PathSim."*  This crate carries out that extension:
 //!
 //! * [`measure`] — the [`ProximityMeasure`] trait (single-pair and bulk
-//!   per-target scoring) and the [`IterativeMeasure`] refinement that exposes
-//!   truncated partial scores plus a tail bound, which is exactly the shape
-//!   the iterative-deepening join framework needs;
+//!   scoring, depth and tail bound), its partial scores
+//!   ([`IterativeMeasure`]) and the [`MeasureSource`] the joins read;
 //! * [`dht`] — an adapter presenting the paper's own DHT (from `dht-walks`)
 //!   through the measure traits, so DHT competes on equal footing with the
 //!   alternatives;
@@ -23,12 +22,12 @@
 //!   to homogeneous graphs (Sun et al., VLDB 2011);
 //! * [`katz`] — the truncated Katz index, the classical link-prediction
 //!   baseline, in transition-normalised and raw-weighted variants;
-//! * [`join`] — generic top-k 2-way joins over any [`ProximityMeasure`]
-//!   (with iterative-deepening pruning when the measure is
-//!   [`IterativeMeasure`]) and a generic rank-join based n-way join, mirroring
-//!   the paper's AP / B-IDJ-X structure but parameterised by the measure.
+//! * [`join`] — entry points that hand a measure's source to `dht-core`'s
+//!   B-BJ, B-IDJ-X and AP: the measures run the very joins DHT runs.
 //!
-//! Every solver is deterministic: Monte-Carlo estimators take explicit seeds.
+//! The walk-based measures build their columns on `dht-walks`' kernel, as
+//! DHT does.  Every solver is deterministic: Monte-Carlo estimators take
+//! explicit seeds.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -47,13 +46,11 @@ pub use dht::DhtMeasure;
 pub use error::MeasureError;
 pub use hitting_time::TruncatedHittingTime;
 pub use join::{
-    measure_nway_top_k, measure_nway_top_k_ctx, measure_nway_top_k_threaded, measure_two_way_top_k,
-    measure_two_way_top_k_ctx, measure_two_way_top_k_pruned, measure_two_way_top_k_pruned_ctx,
-    measure_two_way_top_k_pruned_threaded, measure_two_way_top_k_threaded, MeasureNWayOutput,
-    MeasurePair,
+    measure_nway_top_k, measure_nway_top_k_threaded, measure_two_way_top_k,
+    measure_two_way_top_k_pruned, measure_two_way_top_k_threaded, MeasureNWayOutput, MeasurePair,
 };
 pub use katz::{KatzIndex, KatzMode};
-pub use measure::{IterativeMeasure, ProximityMeasure};
+pub use measure::{IterativeMeasure, MeasureSource, ProximityMeasure};
 pub use pathsim::PathSim;
 pub use ppr::PersonalizedPageRank;
 pub use simrank::{MonteCarloSimRank, SimRank, SimRankMatrix};

@@ -1,4 +1,5 @@
-//! The proximity-measure abstraction used by the generic joins.
+//! The proximity-measure abstraction, and the column source that hands a
+//! measure to `dht-core`'s joins.
 //!
 //! The paper's join algorithms only interact with the similarity measure
 //! through two operations:
@@ -8,15 +9,15 @@
 //!    (the "backward" bulk operation that makes B-BJ / B-IDJ `O(|P|)` times
 //!    faster than their forward counterparts).
 //!
-//! [`ProximityMeasure`] captures exactly these two operations.  Measures that
-//! are truncated series with a geometrically decaying tail — DHT,
-//! Personalized PageRank, and the truncated hitting time — additionally
-//! implement [`IterativeMeasure`], which exposes partial (few-step) scores
-//! plus an upper bound on the remaining tail.  That is all the generic
-//! iterative-deepening join in [`crate::join`] needs in order to prune
-//! targets early, mirroring the paper's B-IDJ-X.
+//! [`ProximityMeasure`] captures exactly these two operations, plus the
+//! depth and tail bound of a truncated series, which B-IDJ-X prunes with;
+//! [`IterativeMeasure`] adds the partial (few-step) scores.
+//! [`MeasureSource`] presents a measure as `dht-core`'s [`ColumnSource`].
 
+use dht_core::twoway::ColumnSource;
 use dht_graph::{Graph, NodeId};
+use dht_walks::cache::custom_column_sig;
+use dht_walks::{QueryCtx, WalkEngine, WalkScratch};
 
 /// A directed node-pair similarity measure on a graph.
 ///
@@ -33,12 +34,29 @@ pub trait ProximityMeasure {
     fn score(&self, graph: &Graph, u: NodeId, v: NodeId) -> f64;
 
     /// Similarity of **every** node of the graph towards the fixed target
-    /// `v`, as a vector indexed by node id.
-    ///
-    /// The default implementation loops over [`ProximityMeasure::score`];
-    /// measures with an efficient backward / bulk formulation should
-    /// override it — this is the hot path of all the joins.
+    /// `v`, as a vector indexed by node id: the exact
+    /// [`ProximityMeasure::column`] on the default walk engine.
     fn scores_to_target(&self, graph: &Graph, v: NodeId) -> Vec<f64> {
+        let engine = WalkEngine::default();
+        self.column(graph, v, self.depth(), engine, &mut WalkScratch::new())
+    }
+
+    /// The similarity of every node towards `v`, indexed by node id — the
+    /// hot path of all the joins.  A truncated series counts only walks of
+    /// at most `steps` steps (`steps ≥ depth()` is the exact column) and
+    /// walks on `engine` with `scratch`; other measures may ignore all
+    /// three.
+    ///
+    /// The default loops over [`ProximityMeasure::score`]; measures with an
+    /// efficient backward / bulk formulation override it.
+    fn column(
+        &self,
+        graph: &Graph,
+        v: NodeId,
+        _steps: usize,
+        _engine: WalkEngine,
+        _scratch: &mut WalkScratch,
+    ) -> Vec<f64> {
         graph.nodes().map(|u| self.score(graph, u, v)).collect()
     }
 
@@ -50,88 +68,114 @@ pub trait ProximityMeasure {
     /// as the conventional self-similarity.
     fn max_score(&self) -> f64;
 
-    /// Stable identity of this measure's bulk columns for the shared
-    /// session column cache (`dht_walks::cache`): two measure instances
-    /// must return the same signature **iff** their
-    /// [`ProximityMeasure::scores_to_target`] columns are bit-identical for
-    /// every graph and target.  Build one with
-    /// [`dht_walks::cache::custom_column_sig`] from the measure name and
-    /// its parameter bit patterns.
-    ///
-    /// The default `None` opts the measure out of caching (the safe choice
-    /// for randomized or stateful measures); the ctx-aware joins then
-    /// recompute every column.
+    /// The truncation depth `d` (number of walk steps) of a truncated
+    /// series; `1` for a measure whose every column is exact.
+    fn depth(&self) -> usize {
+        1
+    }
+
+    /// Upper bound on the score mass contributed by steps `> l` (the
+    /// generic analogue of the paper's `X_l⁺`).  Must be non-negative and
+    /// non-increasing in `l`, and zero for `l ≥ depth()`; the default `0`
+    /// suits a measure whose every column is exact.
+    fn tail_bound(&self, _l: usize) -> f64 {
+        0.0
+    }
+
+    /// Stable identity of this measure's columns for the session column
+    /// cache: equal **iff** [`ProximityMeasure::column`] is bit-identical
+    /// for every graph, target, step count and engine ([`MeasureSource`]
+    /// adds the last two).  Build one with
+    /// [`dht_walks::cache::custom_column_sig`] from the measure name and its
+    /// parameter bits.  The default `None` (randomized or stateful measures)
+    /// opts out of caching.
     fn column_signature(&self) -> Option<u64> {
         None
     }
 }
 
-/// A measure defined as a truncated series over walk lengths, with a bound on
-/// the mass that later steps can still add.
-///
-/// For every target `v`, source `u`, and prefix length `l ≤ depth()`:
+/// The partial (few-step) scores of a measure, with the contract the
+/// paper's B-IDJ-X pruning relies on (Lemma 2), generalised beyond DHT: for
+/// every target `v`, source `u`, and prefix length `l ≤ depth()`,
 ///
 /// ```text
 /// partial(u, v, l)  ≤  score(u, v)  ≤  partial(u, v, l) + tail_bound(l)
 /// ```
 ///
-/// This is the contract the paper's B-IDJ-X pruning relies on (Lemma 2), here
-/// generalised beyond DHT.
+/// A measure that is not a truncated series has depth 1 and no tail, so the
+/// contract holds for every [`ProximityMeasure`], which all implement this.
 pub trait IterativeMeasure: ProximityMeasure {
-    /// The truncation depth `d` of the measure (number of walk steps).
-    fn depth(&self) -> usize;
-
     /// Partial scores of every node towards `v` using only walks of length
-    /// `≤ l`.  For `l ≥ depth()` this must equal
-    /// [`ProximityMeasure::scores_to_target`].
-    fn partial_scores_to_target(&self, graph: &Graph, v: NodeId, l: usize) -> Vec<f64>;
-
-    /// Upper bound on the score mass contributed by steps `> l`
-    /// (the generic analogue of the paper's `X_l⁺`).  Must be non-negative
-    /// and non-increasing in `l`, and zero for `l ≥ depth()`.
-    fn tail_bound(&self, l: usize) -> f64;
-}
-
-/// Helper shared by the concrete measures: dense one-step push of probability
-/// mass along out-edges, i.e. `next[u] = Σ_{v ∈ O_u} p_uv · current[v]`.
-///
-/// This is the transpose-free formulation of "multiply by the transition
-/// matrix and read one column": starting from the indicator vector of a
-/// target `t`, after `i` pushes `current[u]` holds the probability that an
-/// `i`-step walk from `u` ends at `t`.
-pub(crate) fn push_step(graph: &Graph, current: &[f64], next: &mut [f64]) {
-    for (u, slot) in next.iter_mut().enumerate() {
-        let u_id = NodeId(u as u32);
-        let targets = graph.out_targets(u_id);
-        let probs = graph.out_probs(u_id);
-        let mut acc = 0.0;
-        for (&v, &p) in targets.iter().zip(probs.iter()) {
-            acc += p * current[v as usize];
-        }
-        *slot = acc;
+    /// `≤ l`: [`ProximityMeasure::column`] with `l` steps on the default
+    /// walk engine.
+    fn partial_scores_to_target(&self, graph: &Graph, v: NodeId, l: usize) -> Vec<f64> {
+        self.column(graph, v, l, WalkEngine::default(), &mut WalkScratch::new())
     }
 }
 
-/// Like [`push_step`] but using raw edge weights instead of transition
-/// probabilities, so after `i` pushes `current[u]` holds the total weight of
-/// length-`i` walks from `u` to the target.  Used by the PathSim adaptation.
-pub(crate) fn push_step_weighted(graph: &Graph, current: &[f64], next: &mut [f64]) {
-    for (u, slot) in next.iter_mut().enumerate() {
-        let u_id = NodeId(u as u32);
-        let targets = graph.out_targets(u_id);
-        let weights = graph.out_weights(u_id);
-        let mut acc = 0.0;
-        for (&v, &w) in targets.iter().zip(weights.iter()) {
-            acc += w * current[v as usize];
+impl<M: ProximityMeasure + ?Sized> IterativeMeasure for M {}
+
+/// A measure as the [`ColumnSource`] `dht-core`'s B-BJ, B-IDJ-X and AP
+/// read.  Columns go through the context's cache keyed by the measure's
+/// [`ProximityMeasure::column_signature`], the step count and the engine.
+pub struct MeasureSource<'m, M: ?Sized> {
+    measure: &'m M,
+    engine: WalkEngine,
+    threads: usize,
+}
+
+impl<'m, M: ?Sized> MeasureSource<'m, M> {
+    /// The columns of `measure`, walked on `engine` and built on up to
+    /// `threads` workers (`0` = every core).
+    pub fn new(measure: &'m M, engine: WalkEngine, threads: usize) -> Self {
+        MeasureSource {
+            measure,
+            engine,
+            threads,
         }
-        *slot = acc;
+    }
+}
+
+impl<M: ProximityMeasure + Sync + ?Sized> ColumnSource for MeasureSource<'_, M> {
+    fn depth(&self) -> usize {
+        self.measure.depth()
+    }
+
+    fn for_each_column(
+        &self,
+        graph: &Graph,
+        l: usize,
+        targets: &[NodeId],
+        ctx: &mut QueryCtx,
+        consume: impl FnMut(NodeId, &[f64]),
+    ) {
+        let (measure, engine, steps) = (self.measure, self.engine, l.min(self.depth()));
+        let sig = (measure.column_signature())
+            .map(|sig| custom_column_sig(engine.name(), &[sig, steps as u64]));
+        let produce = |scratch: &mut WalkScratch, target| {
+            measure.column(graph, target, steps, engine, scratch)
+        };
+        ctx.for_each_column_cached(graph, sig, self.threads, targets, produce, consume);
+    }
+
+    fn tail_bound(&self, l: usize) -> f64 {
+        self.measure.tail_bound(l)
+    }
+
+    fn floor(&self) -> f64 {
+        self.measure.min_score()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{KatzIndex, KatzMode, PathSim, PersonalizedPageRank, TruncatedHittingTime};
     use dht_graph::GraphBuilder;
+    use dht_walks::backward::backward_hitting_probabilities;
+    use dht_walks::EdgeValues;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// A trivial measure used to exercise the default `scores_to_target`.
     struct DegreeProduct;
@@ -169,35 +213,179 @@ mod tests {
         }
     }
 
-    #[test]
-    fn push_step_moves_mass_along_out_edges() {
-        let g = path_graph();
-        // Indicator of node 3; after one push node 2 (its only in-neighbour
-        // through an out-edge 2 -> 3) holds probability 1.
-        let mut current = vec![0.0, 0.0, 0.0, 1.0];
-        let mut next = vec![0.0; 4];
-        push_step(&g, &current, &mut next);
-        assert_eq!(next, vec![0.0, 0.0, 1.0, 0.0]);
-        std::mem::swap(&mut current, &mut next);
-        push_step(&g, &current, &mut next);
-        assert_eq!(next, vec![0.0, 1.0, 0.0, 0.0]);
+    /// The walk vector after each of `steps` plain backward steps.
+    fn kernel_steps(g: &Graph, target: u32, steps: usize, values: EdgeValues) -> Vec<Vec<f64>> {
+        let mut walk = WalkScratch::new();
+        walk.begin(g.node_count(), [NodeId(target)]);
+        (0..steps)
+            .map(|_| {
+                walk.step_backward(g, NodeId(target), false, values, WalkEngine::Dense);
+                walk.current().to_vec()
+            })
+            .collect()
     }
 
     #[test]
-    fn weighted_push_accumulates_walk_weights() {
+    fn backward_step_moves_mass_along_out_edges() {
+        // Indicator of node 3; after one step node 2 (its only in-neighbour
+        // through an out-edge 2 -> 3) holds probability 1.
+        let steps = kernel_steps(&path_graph(), 3, 2, EdgeValues::Probabilities);
+        assert_eq!(steps[0], vec![0.0, 0.0, 1.0, 0.0]);
+        assert_eq!(steps[1], vec![0.0, 1.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn weighted_backward_step_accumulates_walk_weights() {
         let mut b = GraphBuilder::with_nodes(3);
         b.add_edge(NodeId(0), NodeId(1), 2.0).unwrap();
         b.add_edge(NodeId(1), NodeId(2), 3.0).unwrap();
         b.add_edge(NodeId(0), NodeId(2), 5.0).unwrap();
-        let g = b.build().unwrap();
-        let current = vec![0.0, 0.0, 1.0];
-        let mut next = vec![0.0; 3];
-        push_step_weighted(&g, &current, &mut next);
+        let steps = kernel_steps(&b.build().unwrap(), 2, 2, EdgeValues::Weights);
         // one-step walk weights into node 2: from 1 (3.0) and from 0 (5.0)
-        assert_eq!(next, vec![5.0, 3.0, 0.0]);
-        let mut two = vec![0.0; 3];
-        push_step_weighted(&g, &next, &mut two);
+        assert_eq!(steps[0], vec![5.0, 3.0, 0.0]);
         // two-step: 0 -> 1 -> 2 has weight 2*3 = 6
-        assert_eq!(two, vec![6.0, 0.0, 0.0]);
+        assert_eq!(steps[1], vec![6.0, 0.0, 0.0]);
+    }
+
+    // ---- Bit-identity oracle: the kernel against the pull it replaced. ----
+
+    /// The per-node pull the measures used before they moved onto the walk
+    /// kernel: `next[u] = Σ_{v ∈ O_u} p_uv · current[v]` over out-edges in
+    /// CSR order.  Kept here as the reference the kernel must reproduce.
+    fn push_step(graph: &Graph, current: &[f64], next: &mut [f64]) {
+        for (u, slot) in next.iter_mut().enumerate() {
+            let u_id = NodeId(u as u32);
+            let targets = graph.out_targets(u_id);
+            let probs = graph.out_probs(u_id);
+            let mut acc = 0.0;
+            for (&v, &p) in targets.iter().zip(probs.iter()) {
+                acc += p * current[v as usize];
+            }
+            *slot = acc;
+        }
+    }
+
+    /// [`push_step`] with raw edge weights instead of probabilities.
+    fn push_step_weighted(graph: &Graph, current: &[f64], next: &mut [f64]) {
+        for (u, slot) in next.iter_mut().enumerate() {
+            let u_id = NodeId(u as u32);
+            let targets = graph.out_targets(u_id);
+            let weights = graph.out_weights(u_id);
+            let mut acc = 0.0;
+            for (&v, &w) in targets.iter().zip(weights.iter()) {
+                acc += w * current[v as usize];
+            }
+            *slot = acc;
+        }
+    }
+
+    /// The vectors after each of `steps` reference pulls from the indicator
+    /// of `target`.
+    fn reference_walk(g: &Graph, target: NodeId, steps: usize, weighted: bool) -> Vec<Vec<f64>> {
+        let pull = if weighted {
+            push_step_weighted
+        } else {
+            push_step
+        };
+        let mut current = vec![0.0; g.node_count()];
+        current[target.index()] = 1.0;
+        let mut walk = Vec::new();
+        for _ in 0..steps {
+            let mut next = vec![0.0; current.len()];
+            pull(g, &current, &mut next);
+            current = next;
+            walk.push(current.clone());
+        }
+        walk
+    }
+
+    fn reference_pathsim(g: &Graph, m: &PathSim, v: NodeId) -> Vec<f64> {
+        let counts = |t: usize| {
+            reference_walk(g, NodeId(t as u32), m.length(), true)
+                .pop()
+                .unwrap()
+        };
+        let to_v = counts(v.index());
+        let normalise = |u: usize| match counts(u)[u] + to_v[v.index()] {
+            denom if denom <= 0.0 => 0.0,
+            denom => 2.0 * to_v[u] / denom,
+        };
+        (0..g.node_count())
+            .map(|u| if u == v.index() { 1.0 } else { normalise(u) })
+            .collect()
+    }
+
+    /// HT's column from the per-step first-hit probabilities.
+    fn reference_ht(g: &Graph, m: &TruncatedHittingTime, v: NodeId) -> Vec<f64> {
+        let (d, n) = (m.depth(), g.node_count());
+        let per_step = backward_hitting_probabilities(g, v, d, WalkEngine::Dense);
+        let hits = |u: usize| per_step.iter().map(|step| step[u]).collect::<Vec<_>>();
+        let sim = |u| (d as f64 - m.distance_from_hits(&hits(u))) / d as f64;
+        (0..n)
+            .map(|u| if u == v.index() { 1.0 } else { sim(u) })
+            .collect()
+    }
+
+    /// Seeded random directed graph with uneven weights, so every node sums
+    /// several differently-sized terms and a changed order changes bits.
+    fn random_graph(seed: u64) -> Graph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(12..40usize);
+        let mut b = GraphBuilder::with_nodes(n);
+        for _ in 0..n * 5 {
+            let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+            if u != v {
+                let w = rng.gen_range(0.1..5.0);
+                b.add_edge(NodeId(u), NodeId(v), w).unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn dense_kernel_columns_equal_the_reference_pull_bit_for_bit() {
+        let ppr = PersonalizedPageRank::new(0.85, 9).unwrap();
+        let katz = KatzIndex::new(0.3, 7, KatzMode::Transition).unwrap();
+        let katz_w = KatzIndex::new(0.05, 6, KatzMode::Weighted).unwrap();
+        let pathsim = PathSim::new(2).unwrap();
+        let ht = TruncatedHittingTime::new(8).unwrap();
+        let bits = |column: Vec<f64>| column.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        for seed in 0..12u64 {
+            let g = random_graph(seed);
+            for v in g.nodes().step_by(3) {
+                let dense = |m: &dyn ProximityMeasure| {
+                    bits(m.column(&g, v, m.depth(), WalkEngine::Dense, &mut WalkScratch::new()))
+                };
+                // `Σ_i c_i · W_i` with `c_i = c_{i-1} · factor`, plus
+                // `at_target` on the target: the series of PPR and Katz.
+                let series = |d, first: f64, factor: f64, weighted, at_target| {
+                    let mut scores = vec![0.0; g.node_count()];
+                    scores[v.index()] = at_target;
+                    let mut discount = first;
+                    for step in reference_walk(&g, v, d, weighted) {
+                        discount *= factor;
+                        for (s, w) in scores.iter_mut().zip(step) {
+                            *s += discount * w;
+                        }
+                    }
+                    scores
+                };
+                let restart = 1.0 - 0.85;
+                let cases = [
+                    ("PPR", dense(&ppr), series(9, restart, 0.85, false, restart)),
+                    ("Katz", dense(&katz), series(7, 1.0, 0.3, false, 0.0)),
+                    ("Katz-w", dense(&katz_w), series(6, 1.0, 0.05, true, 0.0)),
+                    (
+                        "PathSim",
+                        dense(&pathsim),
+                        reference_pathsim(&g, &pathsim, v),
+                    ),
+                    ("HT", dense(&ht), reference_ht(&g, &ht, v)),
+                ];
+                for (name, got, want) in cases {
+                    assert_eq!(got, bits(want), "{name}, seed {seed}, target {v:?}");
+                }
+            }
+        }
     }
 }

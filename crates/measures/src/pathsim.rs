@@ -22,8 +22,10 @@
 //! measure-comparison example demonstrates.
 
 use dht_graph::{Graph, NodeId};
+use dht_walks::EdgeValues::Weights;
+use dht_walks::{WalkEngine, WalkScratch};
 
-use crate::measure::{push_step_weighted, ProximityMeasure};
+use crate::measure::ProximityMeasure;
 use crate::{MeasureError, Result};
 
 /// Normalised walk-count similarity with a fixed walk length.
@@ -55,29 +57,32 @@ impl PathSim {
         self.length
     }
 
-    /// Weighted count of length-`L` walks from every node into `target`.
-    fn walk_counts_to(&self, graph: &Graph, target: NodeId) -> Vec<f64> {
-        let n = graph.node_count();
-        let mut current = vec![0.0; n];
-        if target.index() >= n {
-            return current;
-        }
-        current[target.index()] = 1.0;
-        let mut next = vec![0.0; n];
+    /// Walks `L` weighted backward steps from `target` on the walk kernel:
+    /// the result holds every node's weighted count of length-`L` walks
+    /// into `target`.
+    fn walk_counts<'s>(
+        &self,
+        graph: &Graph,
+        target: NodeId,
+        engine: WalkEngine,
+        scratch: &'s mut WalkScratch,
+    ) -> &'s [f64] {
+        scratch.begin(graph.node_count(), [target]);
         for _ in 0..self.length {
-            push_step_weighted(graph, &current, &mut next);
-            std::mem::swap(&mut current, &mut next);
+            scratch.step_backward(graph, target, false, Weights, engine);
         }
-        current
+        scratch.current()
     }
 
-    /// Weighted count of length-`L` closed walks at `u`
-    /// (`|{paths u ⇝ u}|` in the PathSim formula).
-    fn self_count(&self, graph: &Graph, u: NodeId) -> f64 {
-        self.walk_counts_to(graph, u)
-            .get(u.index())
-            .copied()
-            .unwrap_or(0.0)
+    /// The PathSim formula from the walk counts `u ⇝ v`, `u ⇝ u` and
+    /// `v ⇝ v`.
+    fn normalise(uv: f64, uu: f64, vv: f64) -> f64 {
+        let denom = uu + vv;
+        if denom <= 0.0 {
+            0.0
+        } else {
+            2.0 * uv / denom
+        }
     }
 }
 
@@ -94,37 +99,30 @@ impl ProximityMeasure for PathSim {
         if u == v {
             return self.max_score();
         }
-        let to_v = self.walk_counts_to(graph, v);
-        let uv = to_v[u.index()];
-        let denom = self.self_count(graph, u) + to_v[v.index()];
-        if denom <= 0.0 {
-            0.0
-        } else {
-            2.0 * uv / denom
-        }
+        let (engine, scratch) = (WalkEngine::default(), &mut WalkScratch::new());
+        let to_v = self.walk_counts(graph, v, engine, scratch);
+        let (uv, vv) = (to_v[u.index()], to_v[v.index()]);
+        let uu = self.walk_counts(graph, u, engine, scratch)[u.index()];
+        Self::normalise(uv, uu, vv)
     }
 
-    fn scores_to_target(&self, graph: &Graph, v: NodeId) -> Vec<f64> {
-        let n = graph.node_count();
-        if v.index() >= n {
-            return vec![0.0; n];
+    fn column(
+        &self,
+        graph: &Graph,
+        v: NodeId,
+        _steps: usize,
+        engine: WalkEngine,
+        scratch: &mut WalkScratch,
+    ) -> Vec<f64> {
+        let mut out = self.walk_counts(graph, v, engine, scratch).to_vec();
+        let Some(&vv) = out.get(v.index()) else {
+            return out;
+        };
+        for (u, uv) in out.iter_mut().enumerate() {
+            let uu = self.walk_counts(graph, NodeId(u as u32), engine, scratch)[u];
+            *uv = Self::normalise(*uv, uu, vv);
         }
-        let to_v = self.walk_counts_to(graph, v);
-        let vv = to_v[v.index()];
-        let mut out = Vec::with_capacity(n);
-        for (u, &count_to_v) in to_v.iter().enumerate() {
-            if u == v.index() {
-                out.push(self.max_score());
-                continue;
-            }
-            let uu = self.self_count(graph, NodeId(u as u32));
-            let denom = uu + vv;
-            out.push(if denom <= 0.0 {
-                0.0
-            } else {
-                2.0 * count_to_v / denom
-            });
-        }
+        out[v.index()] = self.max_score();
         out
     }
 

@@ -21,11 +21,15 @@
 //!   source (`O(d·|E|)` per source);
 //! * [`PersonalizedPageRank::scores_to_target`] computes the whole column
 //!   `ppr(·, v)` with one backward sweep (`O(d·|E|)` per **target**) — the
-//!   bulk operation that makes the generic B-BJ-style join fast.
+//!   bulk operation that makes B-BJ fast.
+//!
+//! Both run on the walk kernel of `dht-walks`.
 
 use dht_graph::{Graph, NodeId};
+use dht_walks::EdgeValues::Probabilities;
+use dht_walks::{WalkEngine, WalkScratch};
 
-use crate::measure::{push_step, IterativeMeasure, ProximityMeasure};
+use crate::measure::ProximityMeasure;
 use crate::{MeasureError, Result};
 
 /// Truncated Personalized PageRank similarity.
@@ -83,32 +87,6 @@ impl PersonalizedPageRank {
     pub fn damping(&self) -> f64 {
         self.damping
     }
-
-    /// Visit probabilities `W_i(u, target)` folded into the truncated PPR
-    /// score for every source `u`, using walks of length at most `l`.
-    fn column(&self, graph: &Graph, target: NodeId, l: usize) -> Vec<f64> {
-        let n = graph.node_count();
-        let restart = 1.0 - self.damping;
-        let mut scores = vec![0.0; n];
-        if n == 0 || target.index() >= n {
-            return scores;
-        }
-        // i = 0 term: W_0(u, v) = 1 iff u == v.
-        let mut current = vec![0.0; n];
-        current[target.index()] = 1.0;
-        scores[target.index()] = restart;
-        let mut next = vec![0.0; n];
-        let mut discount = restart;
-        for _ in 1..=l {
-            push_step(graph, &current, &mut next);
-            std::mem::swap(&mut current, &mut next);
-            discount *= self.damping;
-            for (s, &w) in scores.iter_mut().zip(current.iter()) {
-                *s += discount * w;
-            }
-        }
-        scores
-    }
 }
 
 impl ProximityMeasure for PersonalizedPageRank {
@@ -116,40 +94,51 @@ impl ProximityMeasure for PersonalizedPageRank {
         "PPR"
     }
 
+    /// A forward walk from `u` on the walk kernel, reading the visit
+    /// probability of `v` after every step.
     fn score(&self, graph: &Graph, u: NodeId, v: NodeId) -> f64 {
         let n = graph.node_count();
         if n == 0 || u.index() >= n || v.index() >= n {
             return 0.0;
         }
         let restart = 1.0 - self.damping;
-        let mut current = vec![0.0; n];
-        current[u.index()] = 1.0;
         let mut score = if u == v { restart } else { 0.0 };
-        let mut next = vec![0.0; n];
         let mut discount = restart;
+        let mut walk = WalkScratch::new();
+        walk.begin(n, [u]);
         for _ in 1..=self.depth {
-            // forward step: next[w] = Σ_{x -> w} p_xw · current[x]
-            next.iter_mut().for_each(|x| *x = 0.0);
-            for (x, &mass) in current.iter().enumerate() {
-                if mass == 0.0 {
-                    continue;
-                }
-                let x_id = NodeId(x as u32);
-                let targets = graph.out_targets(x_id);
-                let probs = graph.out_probs(x_id);
-                for (&w, &p) in targets.iter().zip(probs.iter()) {
-                    next[w as usize] += p * mass;
-                }
-            }
-            std::mem::swap(&mut current, &mut next);
+            walk.step_forward(graph, WalkEngine::default());
             discount *= self.damping;
-            score += discount * current[v.index()];
+            score += discount * walk.current()[v.index()];
         }
         score
     }
 
-    fn scores_to_target(&self, graph: &Graph, v: NodeId) -> Vec<f64> {
-        self.column(graph, v, self.depth)
+    /// Visit probabilities `W_i(u, v)` folded into the truncated PPR score
+    /// of every source `u`, using walks of length at most `steps`.
+    fn column(
+        &self,
+        graph: &Graph,
+        v: NodeId,
+        steps: usize,
+        engine: WalkEngine,
+        scratch: &mut WalkScratch,
+    ) -> Vec<f64> {
+        let mut out = vec![0.0; graph.node_count()];
+        let Some(at_target) = out.get_mut(v.index()) else {
+            return out;
+        };
+        // i = 0 term: W_0(u, v) = 1 iff u == v.
+        let restart = 1.0 - self.damping;
+        *at_target = restart;
+        let mut discount = restart;
+        scratch.begin(graph.node_count(), [v]);
+        for _ in 0..steps.min(self.depth) {
+            scratch.step_backward(graph, v, false, Probabilities, engine);
+            discount *= self.damping;
+            scratch.for_each_nonzero(|u, w| out[u] += discount * w);
+        }
+        out
     }
 
     fn min_score(&self) -> f64 {
@@ -166,15 +155,9 @@ impl ProximityMeasure for PersonalizedPageRank {
             &[self.damping.to_bits(), self.depth as u64],
         ))
     }
-}
 
-impl IterativeMeasure for PersonalizedPageRank {
     fn depth(&self) -> usize {
         self.depth
-    }
-
-    fn partial_scores_to_target(&self, graph: &Graph, v: NodeId, l: usize) -> Vec<f64> {
-        self.column(graph, v, l.min(self.depth))
     }
 
     fn tail_bound(&self, l: usize) -> f64 {
@@ -190,6 +173,7 @@ impl IterativeMeasure for PersonalizedPageRank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure::IterativeMeasure;
     use dht_graph::GraphBuilder;
 
     fn cycle(n: usize) -> Graph {

@@ -129,7 +129,7 @@ fn simrank_iteration(graph: &Graph, decay: f64, prev: &[f64], next: &mut [f64]) 
 ///
 /// Implements [`ProximityMeasure`] by lookup; the `graph` argument of the
 /// trait methods is ignored (the matrix is already bound to the graph it was
-/// computed from), which keeps the generic joins oblivious to the difference
+/// computed from), which keeps the joins oblivious to the difference
 /// between on-the-fly and precomputed measures.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimRankMatrix {
@@ -160,15 +160,6 @@ impl ProximityMeasure for SimRankMatrix {
 
     fn score(&self, _graph: &Graph, u: NodeId, v: NodeId) -> f64 {
         self.get(u, v)
-    }
-
-    fn scores_to_target(&self, _graph: &Graph, v: NodeId) -> Vec<f64> {
-        if v.index() >= self.n {
-            return vec![0.0; self.n];
-        }
-        (0..self.n)
-            .map(|u| self.scores[u * self.n + v.index()])
-            .collect()
     }
 
     fn min_score(&self) -> f64 {

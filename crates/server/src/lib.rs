@@ -566,8 +566,10 @@ impl Server {
     ///
     /// # Errors
     /// Fails when the registry is empty, `sets` is not parallel to it, a
-    /// graph name is malformed or duplicated, the port cannot be bound,
-    /// or the event loop's self-wake socket pair cannot be set up.
+    /// graph name is malformed or duplicated, a set holds a node id its
+    /// graph does not have (an `InvalidInput` error wrapping
+    /// `GraphError::NodeSetOutOfRange`), the port cannot be bound, or the
+    /// event loop's self-wake socket pair cannot be set up.
     pub fn start_registry(
         registry: GraphRegistry,
         sets: Vec<Vec<NodeSet>>,
@@ -586,12 +588,19 @@ impl Server {
                 registry.len()
             )));
         }
-        for (index, (name, _)) in registry.iter().enumerate() {
+        for (index, (name, engine)) in registry.iter().enumerate() {
             if !queryline::is_valid_graph_name(name) {
                 return Err(invalid(format!("invalid graph name '{name}'")));
             }
             if registry.index_of(name) != Some(index) {
                 return Err(invalid(format!("duplicate graph name '{name}'")));
+            }
+            // Checked once here, so no query line can index past a graph.
+            for set in &sets[index] {
+                engine
+                    .graph()
+                    .check_node_set(set)
+                    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
             }
         }
         // Serving thousands of connections needs more descriptors than the
@@ -992,7 +1001,7 @@ fn worker_loop(shared: &Arc<ServerShared>, index: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dht_graph::{GraphBuilder, NodeId};
+    use dht_graph::{GraphBuilder, GraphError, NodeId};
     use std::io::{BufRead, BufReader, BufWriter, Write};
     use std::net::TcpStream;
 
@@ -1073,8 +1082,10 @@ mod tests {
         let parked = TcpStream::connect(addr).expect("connect");
         let second = roundtrip(addr, &["STATS"]);
         assert!(second[0].contains(" connections=2"), "{second:?}");
-        drop(parked);
+        // The parked connection is still open, so the handle-side view must
+        // count it; after the drop the event loop may close it at any time.
         assert!(server.stats().connections >= 1, "handle-side view works");
+        drop(parked);
         // After shutdown every connection has been closed and deregistered.
         let report = server.shutdown();
         assert_eq!(report.connections, 0, "{report:?}");
@@ -1967,6 +1978,31 @@ mod tests {
             )
             .is_err(),
             "sets must be per-graph"
+        );
+    }
+
+    #[test]
+    fn start_rejects_sets_with_ids_outside_the_graph() {
+        let (engine, mut sets) = fixture();
+        let nodes = engine.graph().node_count();
+        sets.push(NodeSet::new("BAD", [NodeId(0), NodeId(99)]));
+        let err = Server::start(
+            engine,
+            sets,
+            ParseOptions::default(),
+            ServerConfig::default(),
+        )
+        .err()
+        .expect("an out-of-range set must refuse to start");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        let inner = err.get_ref().and_then(|e| e.downcast_ref::<GraphError>());
+        assert!(
+            matches!(
+                inner,
+                Some(GraphError::NodeSetOutOfRange { set, node: 99, node_count })
+                    if set == "BAD" && *node_count == nodes
+            ),
+            "{err}"
         );
     }
 

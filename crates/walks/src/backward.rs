@@ -23,6 +23,7 @@
 
 use dht_graph::{Graph, NodeId};
 
+use crate::frontier::EdgeValues::Probabilities;
 use crate::frontier::{WalkEngine, WalkScratch};
 use crate::params::DhtParams;
 
@@ -39,13 +40,8 @@ pub struct BackwardWalk<'g> {
 }
 
 impl<'g> BackwardWalk<'g> {
-    /// Prepares a backward walk towards `target` with the default engine.
-    /// No steps are taken yet.
-    pub fn new(graph: &'g Graph, target: NodeId) -> Self {
-        Self::with_engine(graph, target, WalkEngine::default())
-    }
-
-    /// Prepares a backward walk with an explicit propagation engine.
+    /// Prepares a backward walk towards `target` on `engine`; no steps are
+    /// taken yet.
     pub fn with_engine(graph: &'g Graph, target: NodeId, engine: WalkEngine) -> Self {
         let mut scratch = WalkScratch::new();
         // backProb[q] = 1: at "step 0" only the target itself has hit the
@@ -60,26 +56,10 @@ impl<'g> BackwardWalk<'g> {
         }
     }
 
-    /// The target node of the walk.
-    pub fn target(&self) -> NodeId {
-        self.target
-    }
-
-    /// Number of steps performed so far.
-    pub fn steps_taken(&self) -> usize {
-        self.steps_taken
-    }
-
     /// `P_i(u, target)` for all `u`, where `i` is the number of steps taken.
     /// Before the first step this is the indicator vector of the target.
     pub fn current(&self) -> &[f64] {
         self.scratch.current()
-    }
-
-    /// Whether no probability mass is left to propagate (all remaining
-    /// `P_i(·, target)` are zero).  Conservative in dense mode.
-    pub fn is_exhausted(&self) -> bool {
-        self.scratch.is_exhausted()
     }
 
     /// Advances the walk by one step.  After the call, [`Self::current`]
@@ -87,26 +67,10 @@ impl<'g> BackwardWalk<'g> {
     pub fn step(&mut self) {
         // For i > 1 walks must not pass through the target again.
         let exclude_target = self.steps_taken >= 1;
+        let (graph, target) = (self.graph, self.target);
         self.scratch
-            .step_backward(self.graph, self.target, exclude_target, self.engine);
+            .step_backward(graph, target, exclude_target, Probabilities, self.engine);
         self.steps_taken += 1;
-    }
-
-    /// Runs `extra` additional steps, accumulating the discounted score of
-    /// every source into `scores` (which must have length `|V_G|`):
-    /// `scores[u] += α · Σ λ^i · P_i(u, target)` over the newly taken steps.
-    pub fn accumulate(&mut self, params: &DhtParams, extra: usize, scores: &mut [f64]) {
-        for _ in 0..extra {
-            if self.is_exhausted() {
-                self.steps_taken += 1;
-                continue;
-            }
-            self.step();
-            let discount = params.discount(self.steps_taken);
-            self.scratch.for_each_nonzero(|u, p| {
-                scores[u] += discount * p;
-            });
-        }
     }
 }
 
@@ -134,7 +98,7 @@ pub fn backward_dht_into(
         if scratch.is_exhausted() {
             break;
         }
-        scratch.step_backward(graph, target, i > 1, engine);
+        scratch.step_backward(graph, target, i > 1, Probabilities, engine);
         let discount = params.discount(i);
         scratch.for_each_nonzero(|u, p| {
             scores[u] += discount * p;
@@ -171,8 +135,13 @@ pub fn backward_dht_all_sources(
 
 /// Per-step first-hit probabilities towards `target` for every source node:
 /// entry `[i-1][u] = P_i(u, target)`.
-pub fn backward_hitting_probabilities(graph: &Graph, target: NodeId, d: usize) -> Vec<Vec<f64>> {
-    let mut walk = BackwardWalk::new(graph, target);
+pub fn backward_hitting_probabilities(
+    graph: &Graph,
+    target: NodeId,
+    d: usize,
+    engine: WalkEngine,
+) -> Vec<Vec<f64>> {
+    let mut walk = BackwardWalk::with_engine(graph, target, engine);
     let mut out = Vec::with_capacity(d);
     for _ in 0..d {
         walk.step();
@@ -206,7 +175,7 @@ mod tests {
     fn backward_matches_forward_on_triangle() {
         let g = triangle();
         let d = 8;
-        let back = backward_hitting_probabilities(&g, NodeId(1), d);
+        let back = backward_hitting_probabilities(&g, NodeId(1), d, WalkEngine::default());
         for u in [0u32, 2u32] {
             let fwd = hitting_probabilities(&g, NodeId(u), NodeId(1), d);
             for i in 0..d {
@@ -266,7 +235,7 @@ mod tests {
     #[test]
     fn first_step_equals_transition_probability() {
         let g = triangle();
-        let back = backward_hitting_probabilities(&g, NodeId(0), 1);
+        let back = backward_hitting_probabilities(&g, NodeId(0), 1, WalkEngine::default());
         assert!((back[0][1] - 0.5).abs() < 1e-12);
         assert!((back[0][2] - 0.5).abs() < 1e-12);
     }
@@ -276,26 +245,8 @@ mod tests {
         // In the triangle, P_2(2, 0) must only count 2 -> 1 -> 0 (prob 1/4),
         // not 2 -> 0 -> ... which already hit at step 1.
         let g = triangle();
-        let back = backward_hitting_probabilities(&g, NodeId(0), 2);
+        let back = backward_hitting_probabilities(&g, NodeId(0), 2, WalkEngine::default());
         assert!((back[1][2] - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn incremental_accumulate_matches_batch() {
-        let g = triangle();
-        let params = DhtParams::paper_default();
-        let mut walk = BackwardWalk::new(&g, NodeId(1));
-        let mut scores = vec![0.0; g.node_count()];
-        walk.accumulate(&params, 3, &mut scores);
-        walk.accumulate(&params, 5, &mut scores);
-        for s in scores.iter_mut() {
-            *s += params.beta;
-        }
-        let batch = backward_dht_all_sources(&g, &params, NodeId(1), 8);
-        for u in [0usize, 2usize] {
-            assert!((scores[u] - batch[u]).abs() < 1e-12);
-        }
-        assert_eq!(walk.steps_taken(), 8);
     }
 
     #[test]
@@ -348,7 +299,7 @@ mod tests {
     #[test]
     fn probabilities_stay_in_unit_interval() {
         let g = triangle();
-        let back = backward_hitting_probabilities(&g, NodeId(2), 20);
+        let back = backward_hitting_probabilities(&g, NodeId(2), 20, WalkEngine::default());
         for step in &back {
             for &p in step {
                 assert!((0.0..=1.0 + 1e-12).contains(&p));

@@ -751,10 +751,9 @@ impl QueryCtx {
     /// A fresh context for a helper worker of this session: shares the
     /// [`SharedColumnCache`] (and the [`SharedYTableStore`], when present)
     /// when this context has one, and is a plain one-shot context otherwise
-    /// (a private cache cannot be split across threads).  The concurrent
-    /// per-edge paths of AP and the generic measure n-way join fork one
-    /// context per worker, so even their scoped-thread stages read and fill
-    /// the cross-session caches.
+    /// (a private cache cannot be split across threads).  AP's concurrent
+    /// per-edge path forks one context per worker, so even its
+    /// scoped-thread stage reads and fills the cross-session caches.
     pub fn fork(&self) -> QueryCtx {
         match &self.columns {
             ColumnStore::Shared { cache, .. } => {
@@ -828,15 +827,6 @@ impl QueryCtx {
         self.columns.contains(sig, target.0)
     }
 
-    /// Residency probe for a custom column signature (the
-    /// [`QueryCtx::for_each_column_cached`] key space); like
-    /// [`QueryCtx::backward_column_resident`], it never touches LRU order
-    /// or counters.
-    pub fn column_resident(&self, graph: &Graph, sig: u64, target: NodeId) -> bool {
-        self.columns
-            .contains(graph_scoped_sig(graph, sig), target.0)
-    }
-
     /// Residency probe: whether the `Y_l⁺` bound table for `(params, d,
     /// engine, p)` is cached in this context.  Read-only: no LRU stamp
     /// refresh, no counter update.
@@ -908,7 +898,7 @@ impl QueryCtx {
         let sig = dht_column_sig(params, d, engine);
         self.for_each_column_cached(
             graph,
-            sig,
+            Some(sig),
             threads,
             targets,
             |scratch, target| {
@@ -922,8 +912,8 @@ impl QueryCtx {
 
     /// Generic cached column streaming: like
     /// [`QueryCtx::for_each_backward_column`] but with an arbitrary column
-    /// producer and signature — the entry point the generic measure joins
-    /// of `dht-measures` route through.
+    /// producer and signature (the other measures' columns); a `None`
+    /// signature computes every column fresh.
     ///
     /// `produce` must be a pure function of `(graph, sig, target)`; the
     /// scratch it receives is a pooled buffer it may use (or ignore)
@@ -932,15 +922,14 @@ impl QueryCtx {
     pub fn for_each_column_cached(
         &mut self,
         graph: &Graph,
-        sig: u64,
+        sig: Option<u64>,
         threads: usize,
         targets: &[NodeId],
         produce: impl Fn(&mut WalkScratch, NodeId) -> Vec<f64> + Sync,
         mut consume: impl FnMut(NodeId, &[f64]),
     ) {
-        let sig = graph_scoped_sig(graph, sig);
         let pool = &self.pool;
-        if !self.columns.is_enabled() {
+        let Some(sig) = sig.filter(|_| self.columns.is_enabled()) else {
             // Uncached fast path: identical to the pre-session streamer.
             let started = self.trace.begin();
             dht_par::stream_map_ordered(
@@ -952,7 +941,8 @@ impl QueryCtx {
             );
             self.trace.finish(started, dht_obs::Phase::ColumnBuild);
             return;
-        }
+        };
+        let sig = graph_scoped_sig(graph, sig);
         /// Chunk length per parallel round, in items per worker (matches
         /// `dht_par::stream_map_ordered`).
         const ITEMS_PER_WORKER_ROUND: usize = 4;

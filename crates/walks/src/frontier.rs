@@ -33,6 +33,7 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::Mutex;
 
+use dht_graph::csr::Csr;
 use dht_graph::{Graph, NodeId};
 
 /// Which propagation kernel a walk uses.
@@ -80,6 +81,28 @@ impl WalkEngine {
     #[inline]
     fn forces_dense(self) -> bool {
         matches!(self, WalkEngine::Dense)
+    }
+}
+
+/// What a backward step multiplies the mass crossing an edge `u -> v` by.
+/// Chosen once per step, outside the kernel's inner loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EdgeValues {
+    /// Transition probabilities `p_uv`: after `i` steps a node holds the
+    /// probability of an `i`-step walk (DHT, PPR, hitting time, Katz).
+    Probabilities,
+    /// Raw edge weights `w_uv`: after `i` steps a node holds the total
+    /// weight of its `i`-step walks (weighted Katz, PathSim).
+    Weights,
+}
+
+impl EdgeValues {
+    /// The per-edge values of `csr`, parallel to its targets.
+    fn of(self, csr: &Csr) -> &[f64] {
+        match self {
+            EdgeValues::Probabilities => csr.raw_probs(),
+            EdgeValues::Weights => csr.raw_weights(),
+        }
     }
 }
 
@@ -263,18 +286,26 @@ impl WalkScratch {
     /// (`backWalk`): after the call `current[u] = P_i(u, target)`.  When
     /// `exclude_target` is set (every step but the first), mass sitting on
     /// the target is not propagated — that is what makes the probabilities
-    /// *first*-hit ones.
+    /// *first*-hit ones.  `values` picks what each edge multiplies the mass
+    /// by.
     pub fn step_backward(
         &mut self,
         graph: &Graph,
         target: NodeId,
         exclude_target: bool,
+        values: EdgeValues,
         engine: WalkEngine,
     ) {
-        if self.decide_dense(graph, engine, Direction::Backward) {
-            self.dense_backward(graph, target, exclude_target);
+        // A sentinel no node id reaches stands for "nothing excluded".
+        let excluded = if exclude_target {
+            target.index()
         } else {
-            self.sparse_backward(graph, target, exclude_target);
+            usize::MAX
+        };
+        if self.decide_dense(graph, engine, Direction::Backward) {
+            self.dense_backward(graph.forward_csr(), excluded, values);
+        } else {
+            self.sparse_backward(graph.reverse_csr(), excluded, values);
         }
     }
 
@@ -364,23 +395,16 @@ impl WalkScratch {
         hit
     }
 
-    fn dense_backward(&mut self, graph: &Graph, target: NodeId, exclude_target: bool) {
-        let n = graph.node_count();
+    fn dense_backward(&mut self, csr: &Csr, excluded: usize, values: EdgeValues) {
         // Flat pull sweep over the forward CSR with branchless target
-        // exclusion: `excluded` is a sentinel no node id reaches when the
-        // target is not excluded, and the per-edge compare folds into a
+        // exclusion: the per-edge compare against `excluded` folds into a
         // 0.0/1.0 multiplier instead of a branch.  Bit-identity with the
         // seed's `continue` is guaranteed because every contribution
-        // `p * current[v]` is >= +0.0 (probabilities and masses are
+        // `p * current[v]` is >= +0.0 (probabilities, weights and masses are
         // non-negative): the masked term adds literal +0.0 to an
         // accumulator that is never -0.0, which cannot change its bits.
-        let (offsets, targets, probs) = graph.forward_flat();
-        let excluded = if exclude_target {
-            target.index()
-        } else {
-            usize::MAX
-        };
-        for u in 0..n {
+        let (offsets, targets, probs) = (csr.raw_offsets(), csr.raw_targets(), values.of(csr));
+        for u in 0..csr.node_count() {
             let lo = offsets[u] as usize;
             let hi = offsets[u + 1] as usize;
             let mut acc = 0.0;
@@ -393,21 +417,21 @@ impl WalkScratch {
         std::mem::swap(&mut self.current, &mut self.next);
     }
 
-    fn sparse_backward(&mut self, graph: &Graph, target: NodeId, exclude_target: bool) {
-        let t = target.index();
+    fn sparse_backward(&mut self, csr: &Csr, excluded: usize, values: EdgeValues) {
+        let (offsets, sources, probs) = (csr.raw_offsets(), csr.raw_targets(), values.of(csr));
         let frontier = std::mem::take(&mut self.frontier);
         self.spare.clear();
         for &v in &frontier {
             let vi = v as usize;
-            if exclude_target && vi == t {
+            if vi == excluded {
                 continue;
             }
             let mass = self.current[vi];
             if mass == 0.0 {
                 continue;
             }
-            let (sources, probs) = graph.in_sources_probs(NodeId(v));
-            for (&u, &p) in sources.iter().zip(probs.iter()) {
+            let (lo, hi) = (offsets[vi] as usize, offsets[vi + 1] as usize);
+            for (&u, &p) in sources[lo..hi].iter().zip(probs[lo..hi].iter()) {
                 let ui = u as usize;
                 if !self.active[ui] {
                     self.active[ui] = true;
@@ -590,20 +614,31 @@ mod tests {
 
     #[test]
     fn backward_sparse_matches_backward_dense() {
-        let g = triangle();
-        let mut sparse = WalkScratch::new();
-        let mut dense = WalkScratch::new();
-        sparse.begin(3, [NodeId(0)]);
-        dense.begin(3, [NodeId(0)]);
-        for step in 0..5 {
-            let exclude = step >= 1;
-            sparse.step_backward(&g, NodeId(0), exclude, WalkEngine::Sparse);
-            dense.step_backward(&g, NodeId(0), exclude, WalkEngine::Dense);
-            for u in 0..3 {
+        let mut b = GraphBuilder::with_nodes(40);
+        for u in 0..39u32 {
+            b.add_undirected_edge(NodeId(u), NodeId(u + 1), 1.0 + f64::from(u % 3))
+                .unwrap();
+        }
+        let g = b.build().unwrap();
+        for values in [EdgeValues::Probabilities, EdgeValues::Weights] {
+            let mut sparse = WalkScratch::new();
+            let mut dense = WalkScratch::new();
+            sparse.begin(40, [NodeId(20)]);
+            dense.begin(40, [NodeId(20)]);
+            for step in 0..5 {
+                let exclude = step >= 1;
+                sparse.step_backward(&g, NodeId(20), exclude, values, WalkEngine::Sparse);
+                dense.step_backward(&g, NodeId(20), exclude, values, WalkEngine::Dense);
                 assert!(
-                    (sparse.current()[u] - dense.current()[u]).abs() < 1e-12,
-                    "step {step} node {u}"
+                    !sparse.is_dense(),
+                    "{values:?}: a path frontier stays sparse"
                 );
+                for u in 0..40 {
+                    assert!(
+                        (sparse.current()[u] - dense.current()[u]).abs() < 1e-12,
+                        "{values:?} step {step} node {u}"
+                    );
+                }
             }
         }
     }

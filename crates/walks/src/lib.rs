@@ -59,7 +59,7 @@ pub use cache::{
     column_bytes, CacheStats, ColumnCache, QueryCtx, SharedColumnCache, SharedYTableStore,
 };
 pub use forward::AbsorbingWalk;
-pub use frontier::{ScratchPool, WalkEngine, WalkScratch};
+pub use frontier::{EdgeValues, ScratchPool, WalkEngine, WalkScratch};
 pub use params::{DhtParams, ParamsError};
 // Re-exported so the join layers can record trace phases without taking a
 // direct `dht-obs` dependency.

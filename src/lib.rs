@@ -36,8 +36,8 @@
 //! * [`eval`] — ROC / AUC, link- and 3-clique-prediction experiments;
 //! * [`measures`] — the extension sketched in the paper's conclusion:
 //!   Personalized PageRank, SimRank, PathSim and the plain truncated hitting
-//!   time behind a common [`measures::ProximityMeasure`] trait, plus generic
-//!   top-k joins over any of them.
+//!   time behind a common [`measures::ProximityMeasure`] trait, joined by the
+//!   same B-BJ, B-IDJ-X and AP as DHT.
 //!
 //! ## Quick start
 //!

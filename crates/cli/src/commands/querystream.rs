@@ -6,10 +6,10 @@
 //! price for its single query, `querystream` builds one [`dht_engine::Engine`]
 //! over the graph and streams every query through warm sessions.  Query
 //! lines parse into declarative [`dht_core::QuerySpec`]s: the algorithm field may be
-//! any fixed name **or `auto`**, in which case the engine's cost-based
-//! planner picks per query from graph statistics and the session's live
-//! cache state.  `--explain 1` prints the reified plan of every query of
-//! the first pass (chosen algorithm, cost estimates, cache residency).
+//! any fixed name **or `auto`**, in which case the engine's planner picks
+//! per query from the session's live cache residency.  `--explain 1`
+//! prints the reified plan of every query of the first pass (chosen
+//! algorithm, cache residency).
 //!
 //! With `--sessions N` the stream is answered by `N` concurrent sessions
 //! (query `i` goes to session `i % N`), all reading and filling the
@@ -51,8 +51,8 @@ OPTIONS:
                             name or `auto`)                      [default: B-IDJ-Y]
     --m <n>                 PJ / PJ-i initial 2-way join size    [default: 50]
     --explain <0|1>         1: print each first-pass query's plan
-                            (chosen algorithm, cost estimates,
-                            cache residency)                     [default: 0]
+                            (chosen algorithm, cache
+                            residency)                           [default: 0]
     --trace <0|1>           1: record per-query span timings
                             (parse/plan/column/Y/join/top-k) and
                             report the per-phase totals; answers

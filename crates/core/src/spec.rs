@@ -8,8 +8,7 @@
 //! A [`QuerySpec`] instead describes only the query itself (node sets,
 //! query shape, aggregate, `k`) together with an [`AlgorithmChoice`]:
 //! either `Fixed(..)` (the caller insists) or `Auto` (a planner such as
-//! `dht-engine`'s decides per execution, from a cost model over graph
-//! statistics and live cache state).
+//! `dht-engine`'s decides per execution, from live cache residency).
 //!
 //! Specs validate **eagerly**: [`QuerySpec::validate`] rejects malformed
 //! queries (empty node sets, mismatched query graphs, `k = 0`, …) with a

@@ -41,16 +41,14 @@
 //! [`QuerySpec`] says *what* to answer (node sets, query shape, aggregate,
 //! `k`) and an [`AlgorithmChoice`] says whether the algorithm is `Fixed`
 //! or `Auto`.  [`Session::run`] validates the spec eagerly, and for `Auto`
-//! asks the cost-based planner ([`plan`]) to pick the cheapest algorithm
-//! from the engine's [`GraphStats`] and the session's **live cache
-//! state** — a warm backward target column is a pointer clone, so the same
-//! query can plan as B-IDJ-Y on a cold session and B-BJ on a warm one.
-//! [`Session::explain`] returns the reified [`QueryPlan`] (chosen
-//! algorithm, per-candidate cost estimates, cache residency) without
-//! running anything.  `Auto` selects within the bitwise-identical
-//! backward family only (see [`plan`]), so planning — like caching —
-//! never changes answers at any session count
-//! (`tests/planner_parity_proptest.rs`).
+//! asks the planner ([`plan`]) to pick by the session's **live cache
+//! residency**: a two-way query runs B-BJ when every target column is
+//! cached (a warm column is a pointer clone) and B-IDJ-Y otherwise, and an
+//! n-way query runs PJ-i.  [`Session::explain`] returns the reified
+//! [`QueryPlan`] (chosen algorithm, cache residency) without running
+//! anything.  `Auto` picks only bitwise-identical backward algorithms
+//! (see [`plan`]), so planning — like caching — never changes answers at
+//! any session count (`tests/planner_parity_proptest.rs`).
 //!
 //! ```
 //! use dht_engine::Engine;
@@ -93,7 +91,7 @@ use dht_walks::{
 // depend on `dht-core` directly.
 pub use dht_core::spec::{AlgorithmChoice, NWaySpec, QuerySpec, TwoWaySpec};
 pub use dht_walks::Trace;
-pub use plan::{CostEstimate, GraphStats, PlanCounters, PlannedAlgorithm, QueryPlan};
+pub use plan::{PlanCounters, PlannedAlgorithm, QueryPlan};
 
 /// Construction-time knobs of an [`Engine`].
 #[derive(Debug, Clone, Copy)]
@@ -227,8 +225,7 @@ pub struct Engine {
     config: EngineConfig,
     shared: Option<Arc<SharedColumnCache>>,
     shared_y: Option<Arc<SharedYTableStore>>,
-    stats: GraphStats,
-    plan_counters: plan::PlanCounters,
+    plan_counters: PlanCounters,
 }
 
 impl Engine {
@@ -253,14 +250,12 @@ impl Engine {
         let shared_y = shared
             .is_some()
             .then(|| Arc::new(SharedYTableStore::with_capacity(config.y_table_capacity)));
-        let stats = GraphStats::measure(&graph);
         Engine {
             graph,
             config,
             shared,
             shared_y,
-            stats,
-            plan_counters: plan::PlanCounters::default(),
+            plan_counters: PlanCounters::default(),
         }
     }
 
@@ -269,14 +264,9 @@ impl Engine {
         &self.graph
     }
 
-    /// The sampled graph statistics the planner prices walks from.
-    pub fn graph_stats(&self) -> &GraphStats {
-        &self.stats
-    }
-
     /// Tallies of the planner's `Auto` decisions on this engine (all
     /// sessions combined) — what `STATS` / `METRICS` expose per graph.
-    pub fn plan_counters(&self) -> &plan::PlanCounters {
+    pub fn plan_counters(&self) -> &PlanCounters {
         &self.plan_counters
     }
 
@@ -574,26 +564,14 @@ impl Session<'_> {
         algorithm.run_with_ctx(&self.engine.graph, &config, query, sets, &mut self.ctx)
     }
 
-    /// The planner's view of this engine and session.
-    fn plan_inputs(&self) -> plan::PlanInputs<'_> {
-        plan::PlanInputs {
-            graph: &self.engine.graph,
-            stats: &self.engine.stats,
-            params: &self.engine.config.params,
-            d: self.engine.config.d,
-            engine: self.engine.config.engine,
-        }
-    }
-
     /// Plans `spec` against this session's **current** cache state and
     /// returns the reified [`QueryPlan`] without running anything: the
-    /// chosen algorithm, every candidate's cost estimate, and the cache
-    /// residency the decision was based on.
+    /// chosen algorithm and the cache residency the decision read.
     ///
-    /// Plans are session-dependent on purpose — the same spec explains
-    /// differently on a cold session and on one whose target columns are
-    /// already cached (a warm backward target is a pointer clone, which
-    /// flips the backward-IDJ-vs-basic tradeoff).
+    /// Plans are session-dependent on purpose — the same two-way spec
+    /// explains as B-IDJ-Y on a cold session and as B-BJ on one whose
+    /// target columns are all cached (a warm backward target is a pointer
+    /// clone, so the bound machinery of B-IDJ-Y would be pure overhead).
     ///
     /// # Errors
     /// Fails when the spec is malformed (see
@@ -618,21 +596,32 @@ impl Session<'_> {
     /// let plan = session.explain(&spec).unwrap();
     /// assert!(plan.auto);
     /// assert_eq!(plan.resident_columns, 0, "cold session");
-    /// println!("{plan}"); // "choose …, warm 0/2 target columns, …"
+    /// println!("{plan}"); // "choose B-IDJ-Y (auto; warm 0/2 target columns)"
     /// ```
     pub fn explain(&self, spec: &QuerySpec) -> dht_core::Result<QueryPlan> {
         spec.validate()?;
-        let inputs = self.plan_inputs();
-        Ok(match spec {
-            QuerySpec::TwoWay(s) => plan::plan_two_way(&inputs, &self.ctx, s),
-            QuerySpec::NWay(s) => plan::plan_n_way(&inputs, &self.ctx, s),
+        Ok(self.plan(spec))
+    }
+
+    /// Plans `spec`, probing each target's full-depth backward column
+    /// without disturbing the cache.
+    fn plan(&self, spec: &QuerySpec) -> QueryPlan {
+        let (graph, config) = (&self.engine.graph, &self.engine.config);
+        plan::plan(spec, |target| {
+            self.ctx.backward_column_resident(
+                graph,
+                &config.params,
+                target,
+                config.d,
+                config.engine,
+            )
         })
     }
 
     /// Validates and answers one declarative query: `Fixed` specs run the
     /// pinned algorithm, `Auto` specs run whatever [`Session::explain`]
-    /// would currently choose.  Every candidate algorithm is exact, so the
-    /// choice never affects the answer — only the latency.
+    /// would currently choose.  Every algorithm is exact, so the choice
+    /// never affects the answer — only the latency.
     ///
     /// # Errors
     /// Fails when the spec is malformed (see [`QuerySpec::validate`]).
@@ -663,61 +652,25 @@ impl Session<'_> {
         self.run_validated(spec)
     }
 
-    /// Executes an already-validated spec; the single dispatch point the
-    /// batch APIs reuse after their up-front `validate_specs` pass, so
-    /// nothing is validated twice.  Fixed specs dispatch directly — no
-    /// residency probes, no candidate costing; that keeps pinned-algorithm
-    /// batch streams exactly as cheap as the pre-spec `answer` path.  Only
-    /// `Auto` pays planning.
+    /// Executes an already-validated spec (the batch APIs reuse it after
+    /// their up-front `validate_specs` pass, so nothing is validated
+    /// twice).  Fixed specs dispatch directly — no residency probes — so
+    /// pinned-algorithm streams pay nothing for planning; only `Auto` does.
     fn run_validated(&mut self, spec: &QuerySpec) -> dht_core::Result<EngineOutput> {
-        match spec {
-            QuerySpec::TwoWay(s) => {
-                let algorithm = match s.algorithm {
-                    AlgorithmChoice::Fixed(algorithm) => algorithm,
-                    AlgorithmChoice::Auto => {
-                        let started = self.ctx.trace().begin();
-                        let inputs = self.plan_inputs();
-                        let plan = plan::plan_two_way(&inputs, &self.ctx, s);
-                        self.ctx.trace().finish(started, Phase::Plan);
-                        self.engine.plan_counters.record(&plan);
-                        plan.chosen
-                            .two_way()
-                            .expect("two-way plans choose two-way algorithms")
-                    }
-                };
-                let started = self.ctx.trace().begin();
-                let output = self.two_way(algorithm, &s.p, &s.q, s.k);
-                self.ctx.trace().finish(started, Phase::Join);
-                Ok(EngineOutput::TwoWay(output))
-            }
-            QuerySpec::NWay(s) => {
-                let algorithm = match s.algorithm {
-                    AlgorithmChoice::Fixed(algorithm) => algorithm,
-                    AlgorithmChoice::Auto => {
-                        let started = self.ctx.trace().begin();
-                        let inputs = self.plan_inputs();
-                        let plan = plan::plan_n_way(&inputs, &self.ctx, s);
-                        self.ctx.trace().finish(started, Phase::Plan);
-                        self.engine.plan_counters.record(&plan);
-                        plan.chosen
-                            .n_way()
-                            .expect("n-way plans choose n-way algorithms")
-                    }
-                };
-                let started = self.ctx.trace().begin();
-                let output = self.n_way(algorithm, &s.query, &s.sets, s.aggregate, s.k)?;
-                self.ctx.trace().finish(started, Phase::Join);
-                Ok(EngineOutput::NWay(output))
-            }
-        }
+        let algorithm = match plan::fixed(spec) {
+            Some(algorithm) => algorithm,
+            None => self.plan_traced(spec).chosen,
+        };
+        self.execute(spec, algorithm)
     }
 
-    /// Like [`Session::run`], but also returns the full [`QueryPlan`] the
-    /// execution followed — including, for `Fixed` specs, the cost
-    /// estimates and cache residency of every candidate (with
-    /// `auto: false`).  This is what `dht querystream --explain 1` prints.
-    /// Unlike [`Session::run`], pinned specs pay the planning cost too, so
-    /// prefer `run` on hot paths that don't need the report.
+    /// Like [`Session::run`], but also returns the [`QueryPlan`] the
+    /// execution followed — including, for `Fixed` specs, the cache
+    /// residency (with `auto: false`).  This is what
+    /// `dht querystream --explain 1` prints and the server's slow-query
+    /// log reports.  Unlike [`Session::run`], pinned specs pay the
+    /// residency probes too, so prefer `run` on hot paths that don't need
+    /// the report.
     ///
     /// # Errors
     /// Fails when the spec is malformed.
@@ -725,24 +678,43 @@ impl Session<'_> {
         &mut self,
         spec: &QuerySpec,
     ) -> dht_core::Result<(QueryPlan, EngineOutput)> {
+        spec.validate()?;
+        let plan = self.plan_traced(spec);
+        let output = self.execute(spec, plan.chosen)?;
+        Ok((plan, output))
+    }
+
+    /// Plans `spec` inside a `plan` span, tallying `Auto` decisions.
+    fn plan_traced(&mut self, spec: &QuerySpec) -> QueryPlan {
         let started = self.ctx.trace().begin();
-        let plan = self.explain(spec)?;
+        let plan = self.plan(spec);
         self.ctx.trace().finish(started, Phase::Plan);
         if plan.auto {
             self.engine.plan_counters.record(&plan);
         }
+        plan
+    }
+
+    /// Runs `spec` with `algorithm` inside a `join` span: the one dispatch
+    /// [`Session::run`], the batch APIs and [`Session::run_with_plan`]
+    /// share.
+    fn execute(
+        &mut self,
+        spec: &QuerySpec,
+        algorithm: PlannedAlgorithm,
+    ) -> dht_core::Result<EngineOutput> {
         let started = self.ctx.trace().begin();
-        let output = match (spec, &plan.chosen) {
+        let output = match (spec, algorithm) {
             (QuerySpec::TwoWay(s), PlannedAlgorithm::TwoWay(algorithm)) => {
-                EngineOutput::TwoWay(self.two_way(*algorithm, &s.p, &s.q, s.k))
+                EngineOutput::TwoWay(self.two_way(algorithm, &s.p, &s.q, s.k))
             }
             (QuerySpec::NWay(s), PlannedAlgorithm::NWay(algorithm)) => {
-                EngineOutput::NWay(self.n_way(*algorithm, &s.query, &s.sets, s.aggregate, s.k)?)
+                EngineOutput::NWay(self.n_way(algorithm, &s.query, &s.sets, s.aggregate, s.k)?)
             }
-            _ => unreachable!("the planner never changes a query's arity"),
+            _ => unreachable!("a plan never changes a query's arity"),
         };
         self.ctx.trace().finish(started, Phase::Join);
-        Ok((plan, output))
+        Ok(output)
     }
 
     /// Cumulative backward-column cache counters **as seen by this
@@ -1098,10 +1070,9 @@ mod tests {
 
     #[test]
     fn explain_flips_from_idj_to_basic_as_target_columns_warm() {
-        // The documented warmth scenario: on a cold session the planner
-        // picks B-IDJ-Y (pruning saves most of the per-target walk work);
-        // once the targets' backward columns are resident, the bound
-        // machinery is pure overhead and the same spec plans as B-BJ.
+        // The residency rule: on a cold session the planner picks B-IDJ-Y
+        // (pruning saves per-target walk work); once every target's
+        // backward column is resident, the same spec plans as B-BJ.
         let (graph, sets) = fixture();
         let engine = Engine::new(graph);
         let mut session = engine.session();
@@ -1126,8 +1097,13 @@ mod tests {
             PlannedAlgorithm::TwoWay(TwoWayAlgorithm::BackwardBasic),
             "warm plan: {warm}"
         );
-        assert!(warm.expected_cache_hits() > 0);
-        assert!(warm.estimated_cost() < cold.estimated_cost());
+        assert_eq!(
+            warm.to_string(),
+            format!(
+                "choose B-BJ (auto; warm {0}/{0} target columns)",
+                sets[1].len()
+            )
+        );
 
         // And the answers are identical either way (the planner only moves
         // latency, never results).
@@ -1153,10 +1129,9 @@ mod tests {
         let (plan, output) = session.run_with_plan(&spec).unwrap();
         assert!(plan.auto);
         let chosen = plan.chosen.n_way().expect("n-way plan");
-        // The planner must prefer an incremental partial join over the NL
-        // baseline on a non-trivial product.
-        assert!(
-            matches!(chosen, NWayAlgorithm::IncrementalPartialJoin { .. }),
+        assert_eq!(
+            chosen,
+            NWayAlgorithm::IncrementalPartialJoin { m: 4 },
             "{plan}"
         );
         // Bit-identical to the pinned run of the same algorithm.

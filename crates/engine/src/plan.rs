@@ -1,130 +1,67 @@
-//! Cost-based query planning: choose a join algorithm for a
-//! [`QuerySpec`](dht_core::spec::QuerySpec) from graph statistics and live cache
-//! state, and reify the decision as an inspectable [`QueryPlan`].
+//! Query planning: choose a join algorithm for a [`QuerySpec`] from the
+//! session's cache residency, and reify the decision as an inspectable
+//! [`QueryPlan`].
 //!
 //! Every algorithm in the paper's family is **exact** — they all return the
 //! same answers — so planning is purely a performance decision and can
 //! never change results (`tests/planner_parity_proptest.rs` pins this).
-//! The model is deliberately coarse: unit costs are "edge traversals", a
-//! cold walk is priced from the calibrated average out-degree (frontier
-//! growth capped by the dense sweep), and a **resident** backward column —
-//! probed through the session's [`QueryCtx`] without
-//! disturbing LRU order — costs nothing but its scan.  That last term is
-//! what makes plans *session-dependent*: on a cold session the
-//! iterative-deepening joins win (they prune most of the per-target walk
-//! work), while on a session whose target columns are already cached the
-//! plain B-BJ scan wins because the bound machinery of B-IDJ would be pure
-//! overhead.
+//! `Auto` follows one rule:
 //!
-//! Two-way candidates are the paper's five join algorithms; n-way
-//! candidates are NL / AP / PJ / PJ-i, with PJ-i's initial list size `m`
-//! chosen as `max(k, 4)` for `Auto` plans.
+//! * **two-way:** B-BJ when every target in `Q` has its full-depth backward
+//!   column resident (probed through the session's
+//!   [`QueryCtx`](dht_walks::QueryCtx) without disturbing LRU order), since
+//!   the join is then a bare scan of cached columns; B-IDJ-Y otherwise,
+//!   whose `Y_l⁺` bound prunes the per-target walks a cold target costs;
+//! * **n-way:** PJ-i with initial list size `m = max(k, 4)` (deep enough to
+//!   usually avoid refinement, shallow enough to keep the initial joins
+//!   cheap).
 //!
-//! **`Auto` selects within the backward family only** (B-BJ / B-IDJ-X /
-//! B-IDJ-Y two-way; PJ / PJ-i n-way).  All backward algorithms read the
-//! same deterministic backward columns, so they answer bit-identically to
-//! each other — which makes warmth-dependent plan flips invisible in the
-//! results at any session count.  Forward algorithms (F-BJ, F-IDJ, and
-//! the forward-joining AP / NL) agree only to ~1e-9 (different
-//! floating-point summation order), so auto-selecting them would let
-//! cache warmth — which varies with scheduling — leak into the last bits
-//! of answers.  Their cost estimates are still computed and reported, so
-//! `explain` shows the whole tradeoff; pinning them with
-//! `AlgorithmChoice::Fixed` remains available and deterministic.
+//! That makes plans *session-dependent*: the same spec plans as B-IDJ-Y on
+//! a cold session and as B-BJ once its targets are cached.
+//!
+//! **`Auto` picks only backward algorithms.**  They read the same
+//! deterministic backward columns, so they answer bit-identically to each
+//! other — which makes warmth-dependent plan flips invisible in the results
+//! at any session count.  Forward algorithms (F-BJ, F-IDJ, and the
+//! forward-joining AP / NL) agree only to ~1e-9 (different floating-point
+//! summation order), so auto-selecting them would let cache warmth — which
+//! varies with scheduling — leak into the last bits of answers.  Pinning
+//! them with `AlgorithmChoice::Fixed` remains available and deterministic.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use dht_core::multiway::NWayAlgorithm;
-use dht_core::spec::{NWaySpec, TwoWaySpec};
+use dht_core::spec::QuerySpec;
 use dht_core::twoway::TwoWayAlgorithm;
-use dht_graph::{Graph, NodeSet};
-use dht_walks::frontier::calibrated_switch_factor;
-use dht_walks::{DhtParams, QueryCtx, WalkEngine};
-
-/// Graph-level statistics the cost model prices walks from; computed once
-/// per [`Engine`](crate::Engine) at construction.
-#[derive(Debug, Clone, Copy)]
-pub struct GraphStats {
-    /// `|V_G|`.
-    pub nodes: usize,
-    /// `|E_G|` (directed edges).
-    pub edges: usize,
-    /// Calibrated average out-degree `ḡ` (sampled, deterministic — the
-    /// same estimate `WalkEngine::Auto` switches its kernel on).
-    pub avg_out_degree: f64,
-}
-
-impl GraphStats {
-    /// Samples the statistics of `graph` (cheap: `O(1)`-ish, deterministic).
-    pub fn measure(graph: &Graph) -> Self {
-        GraphStats {
-            nodes: graph.node_count(),
-            edges: graph.edge_count(),
-            avg_out_degree: calibrated_switch_factor(graph) as f64,
-        }
-    }
-
-    /// Estimated edge traversals of one cold truncated walk of depth `d`:
-    /// a frontier growing by `ḡ` per step, each step capped by the dense
-    /// sweep cost `2·|E_G|`, the frontier capped by `|V_G|`.
-    pub fn cold_walk_cost(&self, d: usize) -> f64 {
-        let g = self.avg_out_degree.max(1.0);
-        let dense_step = 2.0 * (self.edges.max(1) as f64);
-        let mut frontier = 1.0f64;
-        let mut cost = 0.0f64;
-        for _ in 0..d.max(1) {
-            cost += (frontier * g).min(dense_step);
-            frontier = (frontier * g).min(self.nodes.max(1) as f64);
-        }
-        cost.max(1.0)
-    }
-}
+use dht_graph::{NodeId, NodeSet};
 
 /// Atomic tallies of the planner's `Auto` decisions on one engine: one
-/// chosen-count slot per candidate algorithm, plus the number of plans
-/// made and candidates costed.  Updated lock-free from every session of
-/// the engine; read by `STATS` / `METRICS` exposition.
+/// chosen-count slot per algorithm `Auto` can pick.  Updated lock-free from
+/// every session of the engine; read by `STATS` / `METRICS` exposition.
 #[derive(Debug, Default)]
 pub struct PlanCounters {
-    chosen: [std::sync::atomic::AtomicU64; PlanCounters::SLOTS.len()],
-    plans: std::sync::atomic::AtomicU64,
-    candidates: std::sync::atomic::AtomicU64,
+    chosen: [AtomicU64; PlanCounters::SLOTS.len()],
 }
 
 impl PlanCounters {
-    /// Stable algorithm slots, in exposition order (PJ / PJ-i tally here
-    /// regardless of their concrete `m`).
-    pub const SLOTS: [&'static str; 9] = [
-        "f-bj", "f-idj", "b-bj", "b-idj-x", "b-idj-y", "nl", "ap", "pj", "pj-i",
-    ];
+    /// The algorithms `Auto` can pick, in exposition order (PJ-i tallies
+    /// here regardless of its `m`).
+    pub const SLOTS: [&'static str; 3] = ["b-bj", "b-idj-y", "pj-i"];
 
-    fn slot(algorithm: &PlannedAlgorithm) -> usize {
-        match algorithm {
-            PlannedAlgorithm::TwoWay(TwoWayAlgorithm::ForwardBasic) => 0,
-            PlannedAlgorithm::TwoWay(TwoWayAlgorithm::ForwardIdj) => 1,
-            PlannedAlgorithm::TwoWay(TwoWayAlgorithm::BackwardBasic) => 2,
-            PlannedAlgorithm::TwoWay(TwoWayAlgorithm::BackwardIdjX) => 3,
-            PlannedAlgorithm::TwoWay(TwoWayAlgorithm::BackwardIdjY) => 4,
-            PlannedAlgorithm::NWay(NWayAlgorithm::NestedLoop) => 5,
-            PlannedAlgorithm::NWay(NWayAlgorithm::AllPairs) => 6,
-            PlannedAlgorithm::NWay(NWayAlgorithm::PartialJoin { .. }) => 7,
-            PlannedAlgorithm::NWay(NWayAlgorithm::IncrementalPartialJoin { .. }) => 8,
-        }
-    }
-
-    /// Tallies one `Auto` plan: its chosen algorithm and how many
-    /// candidates were costed to pick it.
+    /// Tallies one `Auto` plan's chosen algorithm.
     pub fn record(&self, plan: &QueryPlan) {
-        use std::sync::atomic::Ordering;
-        self.chosen[Self::slot(&plan.chosen)].fetch_add(1, Ordering::Relaxed);
-        self.plans.fetch_add(1, Ordering::Relaxed);
-        self.candidates
-            .fetch_add(plan.candidates.len() as u64, Ordering::Relaxed);
+        let slot = match plan.chosen {
+            PlannedAlgorithm::TwoWay(TwoWayAlgorithm::BackwardBasic) => 0,
+            PlannedAlgorithm::TwoWay(TwoWayAlgorithm::BackwardIdjY) => 1,
+            PlannedAlgorithm::NWay(NWayAlgorithm::IncrementalPartialJoin { .. }) => 2,
+            other => unreachable!("Auto never picks {other}"),
+        };
+        self.chosen[slot].fetch_add(1, Ordering::Relaxed);
     }
 
     /// `(label, chosen count)` for every algorithm slot.
     pub fn chosen_counts(&self) -> Vec<(&'static str, u64)> {
-        use std::sync::atomic::Ordering;
         Self::SLOTS
             .iter()
             .zip(&self.chosen)
@@ -132,13 +69,9 @@ impl PlanCounters {
             .collect()
     }
 
-    /// `(plans made, candidates costed)` so far.
-    pub fn totals(&self) -> (u64, u64) {
-        use std::sync::atomic::Ordering;
-        (
-            self.plans.load(Ordering::Relaxed),
-            self.candidates.load(Ordering::Relaxed),
-        )
+    /// `Auto` plans made so far.
+    pub fn plans(&self) -> u64 {
+        self.chosen.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 }
 
@@ -188,17 +121,8 @@ impl fmt::Display for PlannedAlgorithm {
     }
 }
 
-/// One candidate's cost estimate (unit: estimated edge traversals).
-#[derive(Debug, Clone)]
-pub struct CostEstimate {
-    /// The candidate algorithm.
-    pub algorithm: PlannedAlgorithm,
-    /// Estimated cost in edge traversals.
-    pub cost: f64,
-}
-
-/// A reified planning decision: what will run, why, and what the cache
-/// looked like when the decision was made.
+/// A reified planning decision: what will run, and the cache residency the
+/// decision read.
 ///
 /// Returned by `Session::explain` and `Session::run_with_plan`; rendered
 /// by `dht querystream --explain 1` as one line per query.
@@ -209,455 +133,268 @@ pub struct QueryPlan {
     /// `true` when the planner chose (spec said `Auto`); `false` when the
     /// spec pinned the algorithm.
     pub auto: bool,
-    /// Every candidate with its cost estimate, in preference order
-    /// (ties resolve to the earlier entry).
-    pub candidates: Vec<CostEstimate>,
     /// Backward target columns (at full depth `d`) already resident in the
     /// session's column cache when the plan was made.
     pub resident_columns: usize,
     /// Target columns probed (`|Q|` for two-way; `Σ |R_j|` over query
     /// edges for n-way).
     pub probed_columns: usize,
-    /// Whether the `Y_l⁺` bound table(s) the backward IDJ candidates need
-    /// were already cached.
-    pub y_tables_resident: bool,
-}
-
-impl QueryPlan {
-    /// The chosen candidate's cost estimate.
-    pub fn estimated_cost(&self) -> f64 {
-        self.candidates
-            .iter()
-            .find(|c| c.algorithm == self.chosen)
-            .map_or(0.0, |c| c.cost)
-    }
-
-    /// Expected column-cache hits of the chosen plan (the resident target
-    /// columns a backward algorithm will clone instead of walking; `0` for
-    /// forward-walking algorithms — F-BJ, F-IDJ, NL, and AP (whose
-    /// complete per-edge joins run F-BJ) — which never read the cache).
-    pub fn expected_cache_hits(&self) -> usize {
-        let backward = match self.chosen {
-            PlannedAlgorithm::TwoWay(a) => !matches!(
-                a,
-                TwoWayAlgorithm::ForwardBasic | TwoWayAlgorithm::ForwardIdj
-            ),
-            PlannedAlgorithm::NWay(a) => {
-                !matches!(a, NWayAlgorithm::NestedLoop | NWayAlgorithm::AllPairs)
-            }
-        };
-        if backward {
-            self.resident_columns
-        } else {
-            0
-        }
-    }
-}
-
-/// Compact cost rendering for plan lines (`1234`, `5.67e8`).
-fn format_cost(cost: f64) -> String {
-    if cost >= 1e6 {
-        format!("{cost:.2e}")
-    } else {
-        format!("{cost:.0}")
-    }
 }
 
 impl fmt::Display for QueryPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "choose {} ({}; est {}, warm {}/{} target columns, Y-table {})",
+            "choose {} ({}; warm {}/{} target columns)",
             self.chosen.label(),
             if self.auto { "auto" } else { "fixed" },
-            format_cost(self.estimated_cost()),
             self.resident_columns,
             self.probed_columns,
-            if self.y_tables_resident {
-                "warm"
-            } else {
-                "cold"
-            },
-        )?;
-        let runners_up: Vec<String> = self
-            .candidates
-            .iter()
-            .filter(|c| c.algorithm != self.chosen)
-            .map(|c| format!("{} {}", c.algorithm.label(), format_cost(c.cost)))
-            .collect();
-        if !runners_up.is_empty() {
-            write!(f, "; rejected: {}", runners_up.join(", "))?;
-        }
-        Ok(())
+        )
     }
 }
 
-/// Everything the planner needs from the engine configuration.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PlanInputs<'a> {
-    pub graph: &'a Graph,
-    pub stats: &'a GraphStats,
-    pub params: &'a DhtParams,
-    pub d: usize,
-    pub engine: WalkEngine,
+/// The algorithm `spec` pins, or `None` when it says `Auto`.
+pub(crate) fn fixed(spec: &QuerySpec) -> Option<PlannedAlgorithm> {
+    match spec {
+        QuerySpec::TwoWay(s) => s.algorithm.fixed().map(|&a| PlannedAlgorithm::TwoWay(a)),
+        QuerySpec::NWay(s) => s.algorithm.fixed().map(|&a| PlannedAlgorithm::NWay(a)),
+    }
 }
 
-/// Counts how many of `targets`' backward columns (full depth) are
-/// resident in `ctx`, probing without disturbing the cache.
-fn resident_targets(inputs: &PlanInputs<'_>, ctx: &QueryCtx, targets: &NodeSet) -> usize {
-    targets
-        .iter()
-        .filter(|&t| {
-            ctx.backward_column_resident(inputs.graph, inputs.params, t, inputs.d, inputs.engine)
-        })
-        .count()
-}
-
-/// IDJ pruning discounts: the fraction of per-target walk work an
-/// iterative-deepening join is expected to pay, interpolating between
-/// aggressive pruning at `k ≪ |P|·|Q|` and no pruning at `k = |P|·|Q|`.
-fn idj_discounts(k: usize, pairs: f64) -> (f64, f64) {
-    let frac = (k as f64 / pairs.max(1.0)).min(1.0);
-    let x = 0.55 + 0.45 * frac; // X_l⁺: parameter-only bound, prunes less
-    let y = 0.30 + 0.70 * frac; // Y_l⁺: reachability-aware, prunes more
-    (x, y)
-}
-
-/// Shallow-deepening overhead factor of the IDJ joins: the `l = 1, 2, 4…`
-/// rounds walk every still-alive target regardless of whether its *full
-/// depth* column is cached (shallow columns rarely are).
-const IDJ_DEEPENING_FACTOR: f64 = 0.2;
-
-/// Per-pair constant of rank-join candidate management (AP / PJ / PJ-i).
-const RANK_JOIN_PAIR_COST: f64 = 8.0;
-
-/// F-IDJ's pruning discount relative to F-BJ.
-const FIDJ_DISCOUNT: f64 = 0.6;
-
-/// PJ's restart penalty relative to PJ-i (`getNextNodePair` re-runs a
-/// deeper join from scratch whenever a list is exhausted).
-const PJ_RESTART_FACTOR: f64 = 1.5;
-
-/// Cost of one two-way backward-IDJ-Y edge evaluation; shared by the
-/// two-way planner and the per-edge terms of PJ / PJ-i.
-#[allow(clippy::too_many_arguments)]
-fn bidj_y_cost(
-    inputs: &PlanInputs<'_>,
-    walk: f64,
-    p_len: usize,
-    q_len: usize,
-    k: usize,
-    warm: usize,
-    y_resident: bool,
-) -> f64 {
-    let p = p_len as f64;
-    let q = q_len as f64;
-    let cold = q_len.saturating_sub(warm) as f64;
-    let (_, dy) = idj_discounts(k, p * q);
-    let y_cost = if y_resident {
-        0.0
-    } else {
-        // One d-step forward sweep seeded with all of P builds the table.
-        walk + (inputs.d as f64) * (inputs.stats.nodes as f64)
+/// Plans `spec`, counting its target columns that `is_resident` reports
+/// cached: the pinned algorithm for `Fixed` specs, the residency rule of
+/// the module docs for `Auto` ones.
+pub(crate) fn plan(spec: &QuerySpec, is_resident: impl Fn(NodeId) -> bool) -> QueryPlan {
+    let (mut resident_columns, mut probed_columns) = (0, 0);
+    let mut probe = |targets: &NodeSet| {
+        probed_columns += targets.len();
+        resident_columns += targets.iter().filter(|&t| is_resident(t)).count();
     };
-    IDJ_DEEPENING_FACTOR * q * walk + dy * cold * walk + p * q + y_cost
-}
-
-/// Plans a two-way spec against the session's cache state.
-pub(crate) fn plan_two_way(
-    inputs: &PlanInputs<'_>,
-    ctx: &QueryCtx,
-    spec: &TwoWaySpec,
-) -> QueryPlan {
-    let walk = inputs.stats.cold_walk_cost(inputs.d);
-    let p = spec.p.len() as f64;
-    let q = spec.q.len() as f64;
-    let warm = resident_targets(inputs, ctx, &spec.q);
-    let cold = spec.q.len().saturating_sub(warm) as f64;
-    let y_resident = ctx.y_table_resident(
-        inputs.graph,
-        inputs.params,
-        &spec.p,
-        inputs.d,
-        inputs.engine,
-    );
-    let (dx, _) = idj_discounts(spec.k, p * q);
-    let scan = p * q;
-    let deepen = IDJ_DEEPENING_FACTOR * q * walk;
-
-    // Preference order doubles as the tie-break: the simplest algorithm
-    // that reaches the minimum wins.  Only the first AUTO_SELECTABLE
-    // entries — the backward family — are eligible for `Auto`; the forward
-    // estimates are reported for transparency only (see `finish_plan`).
-    let candidates = vec![
-        CostEstimate {
-            algorithm: PlannedAlgorithm::TwoWay(TwoWayAlgorithm::BackwardBasic),
-            cost: cold * walk + scan,
-        },
-        CostEstimate {
-            algorithm: PlannedAlgorithm::TwoWay(TwoWayAlgorithm::BackwardIdjY),
-            cost: bidj_y_cost(
-                inputs,
-                walk,
-                spec.p.len(),
-                spec.q.len(),
-                spec.k,
-                warm,
-                y_resident,
-            ),
-        },
-        CostEstimate {
-            algorithm: PlannedAlgorithm::TwoWay(TwoWayAlgorithm::BackwardIdjX),
-            cost: deepen + dx * cold * walk + scan,
-        },
-        CostEstimate {
-            algorithm: PlannedAlgorithm::TwoWay(TwoWayAlgorithm::ForwardIdj),
-            cost: FIDJ_DISCOUNT * p * q * walk + scan,
-        },
-        CostEstimate {
-            algorithm: PlannedAlgorithm::TwoWay(TwoWayAlgorithm::ForwardBasic),
-            cost: p * q * walk + scan,
-        },
-    ];
-
-    finish_plan(
-        candidates,
-        TWO_WAY_AUTO_SELECTABLE,
-        spec.algorithm.fixed().map(|&a| PlannedAlgorithm::TwoWay(a)),
-        warm,
-        spec.q.len(),
-        y_resident,
-    )
-}
-
-/// How many leading two-way candidates `Auto` may select: the backward
-/// family (B-BJ, B-IDJ-Y, B-IDJ-X).  See [`finish_plan`].
-const TWO_WAY_AUTO_SELECTABLE: usize = 3;
-
-/// How many leading n-way candidates `Auto` may select: the partial-join
-/// family (PJ-i, PJ), whose per-edge scores come from the same backward
-/// columns.  See [`finish_plan`].
-const N_WAY_AUTO_SELECTABLE: usize = 2;
-
-/// Plans an n-way spec against the session's cache state.
-pub(crate) fn plan_n_way(inputs: &PlanInputs<'_>, ctx: &QueryCtx, spec: &NWaySpec) -> QueryPlan {
-    let walk = inputs.stats.cold_walk_cost(inputs.d);
-    // PJ / PJ-i initial list size: the caller's when pinned, else a small
-    // multiple of k (deep enough to usually avoid refinement, shallow
-    // enough to keep the initial joins cheap).
-    let m = match spec.algorithm.fixed() {
-        Some(NWayAlgorithm::PartialJoin { m } | NWayAlgorithm::IncrementalPartialJoin { m }) => *m,
-        _ => spec.k.max(4),
-    };
-
-    let mut warm_total = 0usize;
-    let mut probed_total = 0usize;
-    let mut all_y_resident = true;
-    let mut ap_cost = 0.0f64;
-    let mut pji_cost = 0.0f64;
-    let mut product = 1.0f64;
-    for set in &spec.sets {
-        product = (product * set.len() as f64).min(1e15);
-    }
-    for &(i, j) in spec.query.edges() {
-        let from = &spec.sets[i];
-        let to = &spec.sets[j];
-        let warm = resident_targets(inputs, ctx, to);
-        let y_resident =
-            ctx.y_table_resident(inputs.graph, inputs.params, from, inputs.d, inputs.engine);
-        all_y_resident &= y_resident;
-        warm_total += warm;
-        probed_total += to.len();
-        let pairs = from.len() as f64 * to.len() as f64;
-        // AP's complete per-edge join is forward (F-BJ) and never cached.
-        ap_cost += pairs * walk + pairs * RANK_JOIN_PAIR_COST;
-        pji_cost += bidj_y_cost(inputs, walk, from.len(), to.len(), m, warm, y_resident)
-            + pairs.min(m as f64 * to.len() as f64) * RANK_JOIN_PAIR_COST;
-    }
-    let edge_count = spec.query.edge_count() as f64;
-    let nl_cost = product * edge_count * walk;
-
-    // As in `plan_two_way`: only the leading partial-join family is
-    // `Auto`-selectable; AP and NL are estimated for transparency only.
-    let candidates = vec![
-        CostEstimate {
-            algorithm: PlannedAlgorithm::NWay(NWayAlgorithm::IncrementalPartialJoin { m }),
-            cost: pji_cost,
-        },
-        CostEstimate {
-            algorithm: PlannedAlgorithm::NWay(NWayAlgorithm::PartialJoin { m }),
-            cost: pji_cost * PJ_RESTART_FACTOR,
-        },
-        CostEstimate {
-            algorithm: PlannedAlgorithm::NWay(NWayAlgorithm::AllPairs),
-            cost: ap_cost,
-        },
-        CostEstimate {
-            algorithm: PlannedAlgorithm::NWay(NWayAlgorithm::NestedLoop),
-            cost: nl_cost,
-        },
-    ];
-
-    finish_plan(
-        candidates,
-        N_WAY_AUTO_SELECTABLE,
-        spec.algorithm.fixed().map(|&a| PlannedAlgorithm::NWay(a)),
-        warm_total,
-        probed_total,
-        all_y_resident,
-    )
-}
-
-/// Resolves the chosen candidate (cheapest among the first `selectable`
-/// candidates for `Auto`, the pinned one otherwise) and assembles the
-/// [`QueryPlan`].
-///
-/// `Auto` only ever selects within the **backward family** (the first
-/// `selectable` entries): forward and backward walks accumulate the same
-/// series in different floating-point orders, so cross-family answers
-/// agree to ~1e-9 but not bitwise — and an `Auto` choice depends on cache
-/// warmth, which varies with session count and scheduling.  Selecting
-/// within one bitwise-identical family keeps the engine's contract exact:
-/// planning (like caching) moves latency, never answers, at any session
-/// count.  The forward/NL/AP estimates are still computed and reported so
-/// `explain` shows the whole tradeoff.
-fn finish_plan(
-    candidates: Vec<CostEstimate>,
-    selectable: usize,
-    fixed: Option<PlannedAlgorithm>,
-    resident_columns: usize,
-    probed_columns: usize,
-    y_tables_resident: bool,
-) -> QueryPlan {
-    let chosen = match fixed {
-        Some(algorithm) => algorithm,
-        None => {
-            let eligible = &candidates[..selectable.min(candidates.len())];
-            let mut best = &eligible[0];
-            for candidate in &eligible[1..] {
-                if candidate.cost < best.cost {
-                    best = candidate;
-                }
+    match spec {
+        QuerySpec::TwoWay(s) => probe(&s.q),
+        QuerySpec::NWay(s) => {
+            for &(_, j) in s.query.edges() {
+                probe(&s.sets[j]);
             }
-            best.algorithm
         }
-    };
+    }
+    let pinned = fixed(spec);
+    let chosen = pinned.unwrap_or(match spec {
+        QuerySpec::TwoWay(_) if resident_columns == probed_columns => {
+            PlannedAlgorithm::TwoWay(TwoWayAlgorithm::BackwardBasic)
+        }
+        QuerySpec::TwoWay(_) => PlannedAlgorithm::TwoWay(TwoWayAlgorithm::BackwardIdjY),
+        QuerySpec::NWay(s) => {
+            PlannedAlgorithm::NWay(NWayAlgorithm::IncrementalPartialJoin { m: s.k.max(4) })
+        }
+    });
     QueryPlan {
         chosen,
-        auto: fixed.is_none(),
-        candidates,
+        auto: pinned.is_none(),
         resident_columns,
         probed_columns,
-        y_tables_resident,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dht_core::spec::{NWaySpec, TwoWaySpec};
+    use dht_core::QueryGraph;
+    use dht_graph::{Graph, GraphBuilder};
+    use dht_walks::{DhtParams, QueryCtx, SharedColumnCache, SharedYTableStore, WalkEngine};
+    use std::sync::Arc;
 
-    fn stats() -> GraphStats {
-        GraphStats {
-            nodes: 2_000,
-            edges: 12_000,
-            avg_out_degree: 6.0,
+    const D: usize = 6;
+
+    fn ring(n: u32) -> Graph {
+        let mut b = GraphBuilder::with_nodes(n as usize);
+        for u in 0..n {
+            b.add_undirected_edge(NodeId(u), NodeId((u + 1) % n), 1.0)
+                .unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// A session-shaped context: shared column cache and shared Y tables.
+    fn session_ctx(store: &Arc<SharedYTableStore>) -> QueryCtx {
+        QueryCtx::shared(Arc::new(SharedColumnCache::new(1 << 20)))
+            .with_shared_y_tables(store.clone())
+    }
+
+    fn plan_in(ctx: &QueryCtx, graph: &Graph, spec: &QuerySpec) -> QueryPlan {
+        let params = DhtParams::paper_default();
+        plan(spec, |t| {
+            ctx.backward_column_resident(graph, &params, t, D, WalkEngine::Sparse)
+        })
+    }
+
+    fn set(name: &str, ids: std::ops::Range<u32>) -> NodeSet {
+        NodeSet::new(name, ids.map(NodeId))
+    }
+
+    #[test]
+    fn auto_two_way_is_b_bj_only_when_every_target_is_warm() {
+        use TwoWayAlgorithm::{BackwardBasic, BackwardIdjY};
+        let graph = ring(16);
+        let params = DhtParams::paper_default();
+        let (p, q) = (set("P", 0..4), set("Q", 8..12));
+        let spec = QuerySpec::two_way(p.clone(), q.clone(), 3);
+        // (warm targets, chosen): cold, one target cold, all warm.
+        let table = [(0, BackwardIdjY), (3, BackwardIdjY), (4, BackwardBasic)];
+        for y_resident in [false, true] {
+            for (warm, expected) in table {
+                let store = Arc::new(SharedYTableStore::new());
+                let mut ctx = session_ctx(&store);
+                for t in q.iter().take(warm) {
+                    ctx.backward_column(&graph, &params, t, D, WalkEngine::Sparse);
+                }
+                if y_resident {
+                    ctx.y_bound_table(&graph, &params, &p, D, WalkEngine::Sparse, 1);
+                }
+                assert_eq!(store.len(), usize::from(y_resident));
+                let plan = plan_in(&ctx, &graph, &spec);
+                let case = format!("warm {warm}, Y table resident {y_resident}: {plan}");
+                assert_eq!(plan.chosen, PlannedAlgorithm::TwoWay(expected), "{case}");
+                assert!(plan.auto, "{case}");
+                assert_eq!((plan.resident_columns, plan.probed_columns), (warm, 4));
+                assert_eq!(
+                    plan.to_string(),
+                    format!(
+                        "choose {} (auto; warm {warm}/4 target columns)",
+                        expected.name()
+                    )
+                );
+            }
         }
     }
 
     #[test]
-    fn cold_walk_cost_grows_with_depth_and_caps_at_the_dense_sweep() {
-        let s = stats();
-        let shallow = s.cold_walk_cost(2);
-        let deep = s.cold_walk_cost(8);
-        assert!(deep > shallow);
-        // Every step is capped by the dense sweep, so the total is too.
-        assert!(deep <= 8.0 * 2.0 * s.edges as f64);
-        // A degenerate graph still prices a positive walk.
-        let empty = GraphStats {
-            nodes: 0,
-            edges: 0,
-            avg_out_degree: 0.0,
-        };
-        assert!(empty.cold_walk_cost(4) >= 1.0);
+    fn auto_n_way_is_pj_i_with_m_at_least_four() {
+        let graph = ring(16);
+        let ctx = session_ctx(&Arc::new(SharedYTableStore::new()));
+        let sets = vec![set("A", 0..2), set("B", 4..7), set("C", 9..13)];
+        for (k, m) in [(2, 4), (7, 7)] {
+            let spec = QuerySpec::n_way(QueryGraph::chain(3), sets.clone(), k);
+            let plan = plan_in(&ctx, &graph, &spec);
+            let pji = NWayAlgorithm::IncrementalPartialJoin { m };
+            assert_eq!(plan.chosen, PlannedAlgorithm::NWay(pji), "k = {k}");
+            assert!(plan.auto);
+            // The chain's edges target B then C.
+            assert_eq!((plan.resident_columns, plan.probed_columns), (0, 7));
+            assert!(plan
+                .to_string()
+                .starts_with(&format!("choose PJ-i(m={m}) (auto")));
+        }
     }
 
     #[test]
-    fn idj_discounts_tighten_with_small_k_and_y_is_never_looser() {
-        let (x_small, y_small) = idj_discounts(1, 10_000.0);
-        let (x_full, y_full) = idj_discounts(10_000, 10_000.0);
-        assert!(x_small < x_full);
-        assert!(y_small < y_full);
-        assert!(y_small < x_small, "Y prunes more than X");
-        assert!((x_full - 1.0).abs() < 1e-12);
-        assert!((y_full - 1.0).abs() < 1e-12);
+    fn fixed_specs_run_the_pinned_algorithm_and_report_residency() {
+        let graph = ring(16);
+        let params = DhtParams::paper_default();
+        let mut ctx = session_ctx(&Arc::new(SharedYTableStore::new()));
+        let (p, q) = (set("P", 0..4), set("Q", 8..12));
+        for t in q.iter().take(2) {
+            ctx.backward_column(&graph, &params, t, D, WalkEngine::Sparse);
+        }
+        let forward: QuerySpec = TwoWaySpec::new(p.clone(), q.clone(), 3)
+            .with_fixed(TwoWayAlgorithm::ForwardBasic)
+            .into();
+        let plan = plan_in(&ctx, &graph, &forward);
+        assert_eq!(
+            plan.chosen,
+            PlannedAlgorithm::TwoWay(TwoWayAlgorithm::ForwardBasic)
+        );
+        assert!(!plan.auto);
+        assert_eq!((plan.resident_columns, plan.probed_columns), (2, 4));
+        assert_eq!(
+            plan.to_string(),
+            "choose F-BJ (fixed; warm 2/4 target columns)"
+        );
+
+        let all_pairs: QuerySpec = NWaySpec::new(QueryGraph::chain(2), vec![p, q], 5)
+            .with_fixed(NWayAlgorithm::AllPairs)
+            .into();
+        let plan = plan_in(&ctx, &graph, &all_pairs);
+        assert_eq!(plan.chosen, PlannedAlgorithm::NWay(NWayAlgorithm::AllPairs));
+        assert!(!plan.auto);
+        assert_eq!((plan.resident_columns, plan.probed_columns), (2, 4));
     }
 
-    #[test]
-    fn plan_display_lists_chosen_and_rejected_candidates() {
-        let plan = QueryPlan {
-            chosen: PlannedAlgorithm::TwoWay(TwoWayAlgorithm::BackwardBasic),
-            auto: true,
-            candidates: vec![
-                CostEstimate {
-                    algorithm: PlannedAlgorithm::TwoWay(TwoWayAlgorithm::BackwardBasic),
-                    cost: 400.0,
-                },
-                CostEstimate {
-                    algorithm: PlannedAlgorithm::TwoWay(TwoWayAlgorithm::BackwardIdjY),
-                    cost: 40_400.0,
-                },
-            ],
-            resident_columns: 20,
-            probed_columns: 20,
-            y_tables_resident: true,
-        };
-        let line = plan.to_string();
-        assert!(line.contains("choose B-BJ (auto"), "{line}");
-        assert!(line.contains("warm 20/20"), "{line}");
-        assert!(line.contains("rejected: B-IDJ-Y"), "{line}");
-        assert_eq!(plan.estimated_cost(), 400.0);
-        assert_eq!(plan.expected_cache_hits(), 20);
+    /// An engine session whose backward columns for every target in `q`
+    /// are resident (a pinned B-BJ run reads them all).
+    fn warm_session<'e>(engine: &'e crate::Engine, p: &NodeSet, q: &NodeSet) -> crate::Session<'e> {
+        let mut session = engine.session();
+        let warm: QuerySpec = TwoWaySpec::new(p.clone(), q.clone(), 3)
+            .with_fixed(TwoWayAlgorithm::BackwardBasic)
+            .into();
+        session.run(&warm).unwrap();
+        session
     }
 
     #[test]
     fn forward_plans_expect_no_cache_hits() {
-        let plan = QueryPlan {
-            chosen: PlannedAlgorithm::TwoWay(TwoWayAlgorithm::ForwardBasic),
-            auto: false,
-            candidates: vec![CostEstimate {
-                algorithm: PlannedAlgorithm::TwoWay(TwoWayAlgorithm::ForwardBasic),
-                cost: 1e7,
-            }],
-            resident_columns: 5,
-            probed_columns: 9,
-            y_tables_resident: false,
-        };
-        assert_eq!(plan.expected_cache_hits(), 0);
-        assert!(plan.to_string().contains("fixed"));
-        assert!(plan.to_string().contains("1.00e7"));
+        let engine = crate::Engine::new(ring(16));
+        let (p, q) = (set("P", 0..4), set("Q", 8..12));
+        let mut session = warm_session(&engine, &p, &q);
+        let forward: QuerySpec = TwoWaySpec::new(p, q, 3)
+            .with_fixed(TwoWayAlgorithm::ForwardBasic)
+            .into();
+        let hits = session.cache_stats().hits;
+        let (plan, _) = session.run_with_plan(&forward).unwrap();
+        assert_eq!(
+            plan.to_string(),
+            "choose F-BJ (fixed; warm 4/4 target columns)"
+        );
+        // Every target is warm, yet F-BJ walks forward and never reads them.
+        assert_eq!(session.cache_stats().hits, hits);
     }
 
     #[test]
     fn all_pairs_plans_expect_no_cache_hits_either() {
         // AP's complete per-edge joins run F-BJ (forward), so resident
         // backward columns never help it — unlike PJ / PJ-i.
-        let base = QueryPlan {
-            chosen: PlannedAlgorithm::NWay(NWayAlgorithm::AllPairs),
-            auto: true,
-            candidates: vec![CostEstimate {
-                algorithm: PlannedAlgorithm::NWay(NWayAlgorithm::AllPairs),
-                cost: 1.0,
-            }],
-            resident_columns: 7,
-            probed_columns: 9,
-            y_tables_resident: false,
+        let engine = crate::Engine::new(ring(16));
+        let (p, q) = (set("P", 0..4), set("Q", 8..12));
+        let mut session = warm_session(&engine, &p, &q);
+        let spec = |algorithm| -> QuerySpec {
+            NWaySpec::new(QueryGraph::chain(2), vec![p.clone(), q.clone()], 5)
+                .with_fixed(algorithm)
+                .into()
         };
-        assert_eq!(base.expected_cache_hits(), 0);
-        let pji = QueryPlan {
-            chosen: PlannedAlgorithm::NWay(NWayAlgorithm::IncrementalPartialJoin { m: 4 }),
-            ..base
-        };
-        assert_eq!(pji.expected_cache_hits(), 7);
+        let hits = session.cache_stats().hits;
+        let (plan, _) = session
+            .run_with_plan(&spec(NWayAlgorithm::AllPairs))
+            .unwrap();
+        assert_eq!((plan.resident_columns, plan.probed_columns), (4, 4));
+        assert_eq!(session.cache_stats().hits, hits);
+        let pji = NWayAlgorithm::IncrementalPartialJoin { m: 4 };
+        session.run_with_plan(&spec(pji)).unwrap();
+        assert!(session.cache_stats().hits > hits);
+    }
+
+    #[test]
+    fn counters_tally_auto_picks_per_slot() {
+        let counters = PlanCounters::default();
+        for chosen in [
+            PlannedAlgorithm::TwoWay(TwoWayAlgorithm::BackwardBasic),
+            PlannedAlgorithm::TwoWay(TwoWayAlgorithm::BackwardIdjY),
+            PlannedAlgorithm::TwoWay(TwoWayAlgorithm::BackwardIdjY),
+            PlannedAlgorithm::NWay(NWayAlgorithm::IncrementalPartialJoin { m: 9 }),
+        ] {
+            counters.record(&QueryPlan {
+                chosen,
+                auto: true,
+                resident_columns: 0,
+                probed_columns: 1,
+            });
+        }
+        assert_eq!(
+            counters.chosen_counts(),
+            vec![("b-bj", 1), ("b-idj-y", 2), ("pj-i", 1)]
+        );
+        assert_eq!(counters.plans(), 4);
     }
 
     #[test]

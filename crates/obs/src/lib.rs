@@ -464,7 +464,7 @@ pub enum Phase {
     Parse,
     /// Waiting in the admission queue for a worker.
     QueueWait,
-    /// Cost-based planning (`Auto` specs, `EXPLAIN`).
+    /// Planning (`Auto` specs, `EXPLAIN`).
     Plan,
     /// Building a backward column the cache did not hold.
     ColumnBuild,

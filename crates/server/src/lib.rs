@@ -147,7 +147,7 @@ use std::time::{Duration, Instant};
 
 use dht_core::queryline::{self, ParseOptions, Priority};
 use dht_core::QuerySpec;
-use dht_engine::{Engine, GraphRegistry};
+use dht_engine::{Engine, GraphRegistry, QueryPlan, Session};
 use dht_graph::NodeSet;
 
 pub use metrics::StatsSnapshot;
@@ -485,9 +485,7 @@ impl ServerShared {
             for (gauge, (_, count)) in gauges.plan_chosen.iter().zip(counters.chosen_counts()) {
                 gauge.set(count as f64);
             }
-            let (plans, candidates) = counters.totals();
-            gauges.plans.set(plans as f64);
-            gauges.plan_candidates.set(candidates as f64);
+            gauges.plans.set(counters.plans() as f64);
         }
         let (interactive_depth, batch_depth) = self.queue.depths();
         let text = self.metrics.render_exposition(
@@ -906,7 +904,8 @@ fn worker_loop(shared: &Arc<ServerShared>, index: usize) {
             // a slow-query budget is set — the slow log needs spans for
             // every request because it cannot know in advance which one
             // will blow the budget.  Off, the spans cost one branch each.
-            let tracing = request.trace || shared.config.slow_ms > 0;
+            let slow_ms = shared.config.slow_ms;
+            let tracing = request.trace || slow_ms > 0;
             if tracing {
                 session.set_trace_enabled(true);
                 let trace = session.trace();
@@ -916,22 +915,7 @@ fn worker_loop(shared: &Arc<ServerShared>, index: usize) {
                     waited.saturating_sub(request.parse_time),
                 );
             }
-            let mut response = if request.explain {
-                match session.explain(&request.spec) {
-                    Ok(plan) => format!("OK PLAN {plan}"),
-                    Err(error) => format!("ERR EXEC {error}"),
-                }
-            } else {
-                match session.run(&request.spec) {
-                    Ok(output) => {
-                        let span = session.trace().span(dht_walks::Phase::Serialize);
-                        let encoded = wire::encode_output(&output);
-                        drop(span);
-                        format!("OK {encoded}")
-                    }
-                    Err(error) => format!("ERR EXEC {error}"),
-                }
-            };
+            let (mut response, plan) = answer(session, &request.spec, request.explain, slow_ms > 0);
             let latency = request.received.elapsed();
             shared
                 .metrics
@@ -946,35 +930,15 @@ fn worker_loop(shared: &Arc<ServerShared>, index: usize) {
                     shared.metrics.record_traced();
                     response = format!("{comment}\n{response}");
                 }
-                let slow_ms = shared.config.slow_ms;
                 if slow_ms > 0 && total_ms > slow_ms as f64 && shared.metrics.record_slow() {
-                    let graph_name = shared
-                        .registry
-                        .iter()
-                        .nth(request.graph)
-                        .map(|(name, _)| name)
-                        .unwrap_or("?");
-                    let columns = session.cache_stats();
-                    let (y_hits, y_misses) = session.y_table_stats();
-                    // Re-planning for the log happens after the comment is
-                    // rendered, so the logged spans cover the query alone.
-                    let plan = match session.explain(&request.spec) {
-                        Ok(plan) => plan.to_string(),
-                        Err(error) => format!("unavailable: {error}"),
-                    };
-                    eprintln!(
-                        "SLOW worker={index} graph={graph_name} class={} seq={} \
-                         latency_ms={total_ms:.3} budget_ms={slow_ms} plan `{plan}` \
-                         columns[hits={} misses={} evictions={}] \
-                         y_tables[hits={} misses={}]\n  {comment}",
+                    let who = format!(
+                        "worker={index} graph={} class={} seq={}",
+                        shared.registry.name(request.graph),
                         request.class.name(),
-                        request.seq,
-                        columns.hits,
-                        columns.misses,
-                        columns.evictions,
-                        y_hits,
-                        y_misses,
+                        request.seq
                     );
+                    let line = slow_line(&who, total_ms, slow_ms, plan.as_ref(), session, &comment);
+                    eprintln!("{line}");
                 }
                 session.reset_trace();
                 session.set_trace_enabled(false);
@@ -996,6 +960,63 @@ fn worker_loop(shared: &Arc<ServerShared>, index: usize) {
         }
         shared.metrics.store_worker_caches(index, cache, y_tables);
     }
+}
+
+/// Answers one request line on `session`: `EXPLAIN` plans without running,
+/// anything else runs the query.  With `keep_plan` set (a slow-query budget
+/// is on) the query runs through [`Session::run_with_plan`], so the plan
+/// returned is the one the query followed, read before it warmed the
+/// cache; otherwise it runs through [`Session::run`] and no plan is kept.
+fn answer(
+    session: &mut Session<'_>,
+    spec: &QuerySpec,
+    explain: bool,
+    keep_plan: bool,
+) -> (String, Option<QueryPlan>) {
+    if explain {
+        return match session.explain(spec) {
+            Ok(plan) => (format!("OK PLAN {plan}"), Some(plan)),
+            Err(error) => (format!("ERR EXEC {error}"), None),
+        };
+    }
+    let result = if keep_plan {
+        session
+            .run_with_plan(spec)
+            .map(|(plan, out)| (Some(plan), out))
+    } else {
+        session.run(spec).map(|out| (None, out))
+    };
+    match result {
+        Ok((plan, output)) => {
+            let span = session.trace().span(dht_walks::Phase::Serialize);
+            let encoded = wire::encode_output(&output);
+            drop(span);
+            (format!("OK {encoded}"), plan)
+        }
+        Err(error) => (format!("ERR EXEC {error}"), None),
+    }
+}
+
+/// The slow-query log line: who answered, the latency against the budget,
+/// the plan the query ran with, the session's cache counters and the span
+/// comment.
+fn slow_line(
+    who: &str,
+    total_ms: f64,
+    budget_ms: u64,
+    plan: Option<&QueryPlan>,
+    session: &Session<'_>,
+    comment: &str,
+) -> String {
+    let columns = session.cache_stats();
+    let (y_hits, y_misses) = session.y_table_stats();
+    let plan = plan.map_or_else(|| "none".to_string(), QueryPlan::to_string);
+    format!(
+        "SLOW {who} latency_ms={total_ms:.3} budget_ms={budget_ms} plan `{plan}` \
+         columns[hits={} misses={} evictions={}] y_tables[hits={y_hits} misses={y_misses}]\n  \
+         {comment}",
+        columns.hits, columns.misses, columns.evictions,
+    )
 }
 
 #[cfg(test)]
@@ -2088,12 +2109,23 @@ mod tests {
             text.contains("dht_request_latency_seconds_count{class=\"all\"} 2"),
             "{text}"
         );
-        // Both queries planned through Auto: the planner gauges are live.
-        assert!(
-            text.contains("dht_plans{graph=\"ring\"} 1")
-                && text.contains("dht_plans{graph=\"path\"} 1"),
-            "{text}"
-        );
+        // Both queries planned through Auto on a cold cache: the planner
+        // gauges are live, with one label per algorithm Auto can pick.
+        for graph in ["ring", "path"] {
+            assert!(
+                text.contains(&format!("dht_plans{{graph=\"{graph}\"}} 1")),
+                "{text}"
+            );
+            for (algorithm, count) in [("b-bj", 0), ("b-idj-y", 1), ("pj-i", 0)] {
+                let series = format!(
+                    "dht_plan_chosen{{graph=\"{graph}\",algorithm=\"{algorithm}\"}} {count}\n"
+                );
+                assert!(text.contains(&series), "{series} missing: {text}");
+            }
+        }
+        // Those are the planner's only series: two plans, six picks.
+        let planner_series = text.lines().filter(|l| l.starts_with("dht_plan")).count();
+        assert_eq!(planner_series, 2 + 6, "{text}");
         server.shutdown();
     }
 
@@ -2172,6 +2204,32 @@ mod tests {
             "no TRACE prefix was sent: {text}"
         );
         server.shutdown();
+    }
+
+    #[test]
+    fn slow_log_reports_the_plan_the_query_ran() {
+        // k = |P|·|Q| prunes no target, so the cold B-IDJ-Y run leaves
+        // every target column resident: a plan read after the query would
+        // claim B-BJ, a plan the query never ran.
+        let (engine, sets) = fixture();
+        let mut session = engine.session();
+        let spec = QuerySpec::two_way(sets[0].clone(), sets[1].clone(), 25);
+        let (response, plan) = answer(&mut session, &spec, false, true);
+        assert!(response.starts_with("OK TWOWAY"), "{response}");
+        let line = slow_line("worker=0", 9.0, 1, plan.as_ref(), &session, "# trace:");
+        assert!(
+            line.contains("plan `choose B-IDJ-Y (auto; warm 0/5 target columns)`"),
+            "{line}"
+        );
+        let after = session.explain(&spec).unwrap();
+        assert_eq!(
+            after.to_string(),
+            "choose B-BJ (auto; warm 5/5 target columns)"
+        );
+
+        // Without a slow budget the query runs through `Session::run`.
+        let (again, plan) = answer(&mut session, &spec, false, false);
+        assert_eq!((again, plan.is_none()), (response, true));
     }
 
     #[test]

@@ -58,13 +58,11 @@ pub(crate) struct GraphGauges {
     pub(crate) y_misses: Arc<Gauge>,
     /// Configured column-cache byte budget.
     pub(crate) cache_bytes: Arc<Gauge>,
-    /// Planner `Auto` decisions per algorithm slot, in
+    /// Planner `Auto` decisions per algorithm `Auto` can pick, in
     /// `dht_engine::PlanCounters::SLOTS` order.
     pub(crate) plan_chosen: Vec<Arc<Gauge>>,
-    /// `(plans made, candidates costed)` gauges.
+    /// `Auto` plans made.
     pub(crate) plans: Arc<Gauge>,
-    /// See [`GraphGauges::plans`].
-    pub(crate) plan_candidates: Arc<Gauge>,
 }
 
 /// What the server measures while running; shared by every worker and
@@ -262,11 +260,6 @@ impl Metrics {
                 plans: registry.gauge_with(
                     "dht_plans",
                     "Auto plans made per graph (sampled at scrape).",
-                    &[("graph", name)],
-                ),
-                plan_candidates: registry.gauge_with(
-                    "dht_plan_candidates",
-                    "Candidate algorithms costed by Auto plans (sampled at scrape).",
                     &[("graph", name)],
                 ),
             })

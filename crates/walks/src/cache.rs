@@ -201,9 +201,9 @@ impl ColumnCache {
 
     /// Residency probe: whether the column for `(sig, target)` is currently
     /// cached — **without** refreshing its LRU position, cloning it or
-    /// touching the hit/miss counters.  This is what cost-based planners use
-    /// to ask "would this lookup hit?" while deciding *whether* to look up
-    /// at all: probing must never change what a later eviction does.
+    /// touching the hit/miss counters.  This is what the planner uses to
+    /// ask "would this lookup hit?" before choosing an algorithm: probing
+    /// must never change what a later eviction does.
     pub fn contains(&self, sig: u64, target: u32) -> bool {
         self.byte_budget > 0 && self.slots.contains_key(&(sig, target))
     }
@@ -535,14 +535,6 @@ impl SharedYTableStore {
         )
     }
 
-    /// Residency probe: no stamp refresh, no counter update.
-    fn contains(&self, key: (u64, u64)) -> bool {
-        self.tables
-            .read()
-            .expect("y-table lock poisoned")
-            .contains_key(&key)
-    }
-
     /// Looks the table up under the read lock, refreshing its atomic LRU
     /// stamp on a hit.
     fn get(&self, key: (u64, u64)) -> Option<Arc<YBoundTable>> {
@@ -812,9 +804,9 @@ impl QueryCtx {
     /// Residency probe: whether the backward DHT column of `target` (at
     /// walk depth `d` under `params` / `engine`) is currently resident in
     /// this context's column store — without touching LRU order, counters
-    /// or the column itself.  Planners use this to cost "warm" vs "cold"
-    /// targets before choosing an algorithm; probing never changes what a
-    /// later lookup or eviction does.
+    /// or the column itself.  The planner reads it to tell "warm" from
+    /// "cold" targets before choosing an algorithm; probing never changes
+    /// what a later lookup or eviction does.
     pub fn backward_column_resident(
         &self,
         graph: &Graph,
@@ -825,28 +817,6 @@ impl QueryCtx {
     ) -> bool {
         let sig = graph_scoped_sig(graph, dht_column_sig(params, d, engine));
         self.columns.contains(sig, target.0)
-    }
-
-    /// Residency probe: whether the `Y_l⁺` bound table for `(params, d,
-    /// engine, p)` is cached in this context.  Read-only: no LRU stamp
-    /// refresh, no counter update.
-    pub fn y_table_resident(
-        &self,
-        graph: &Graph,
-        params: &DhtParams,
-        p: &NodeSet,
-        d: usize,
-        engine: WalkEngine,
-    ) -> bool {
-        let key = (
-            graph_scoped_sig(graph, dht_column_sig(params, d, engine)),
-            p.signature(),
-        );
-        self.columns.is_enabled()
-            && match &self.shared_y {
-                Some(store) => store.contains(key),
-                None => self.y_tables.contains_key(&key),
-            }
     }
 
     /// The truncated backward DHT column `h_d(·, target)` for every source,
@@ -1182,19 +1152,27 @@ mod tests {
         assert!(!ctx.backward_column_resident(&other, &params, NodeId(3), 6, WalkEngine::Sparse));
         assert_eq!(ctx.column_stats(), stats_before, "probes must not count");
 
+        // Y tables are keyed by `P`: the same set hits the store, another
+        // one builds a second table.
+        let store = Arc::new(SharedYTableStore::new());
+        let mut ctx = ctx.with_shared_y_tables(store.clone());
         let p = NodeSet::new("P", [NodeId(0), NodeId(1)]);
-        assert!(!ctx.y_table_resident(&g, &params, &p, 6, WalkEngine::Sparse));
         ctx.y_bound_table(&g, &params, &p, 6, WalkEngine::Sparse, 1);
-        let y_before = ctx.y_table_stats();
-        assert!(ctx.y_table_resident(&g, &params, &p, 6, WalkEngine::Sparse));
+        assert_eq!((store.len(), store.stats()), (1, (0, 1)));
+        ctx.y_bound_table(&g, &params, &p, 6, WalkEngine::Sparse, 1);
+        assert_eq!((store.len(), store.stats()), (1, (1, 1)));
         let p2 = NodeSet::new("P2", [NodeId(2)]);
-        assert!(!ctx.y_table_resident(&g, &params, &p2, 6, WalkEngine::Sparse));
-        assert_eq!(ctx.y_table_stats(), y_before, "probes must not count");
+        ctx.y_bound_table(&g, &params, &p2, 6, WalkEngine::Sparse, 1);
+        assert_eq!((store.len(), store.stats()), (2, (1, 2)));
 
-        // One-shot contexts never report residency.
-        let cold = QueryCtx::one_shot();
+        // One-shot contexts never report residency nor keep Y tables.
+        let cold_store = Arc::new(SharedYTableStore::new());
+        let mut cold = QueryCtx::one_shot().with_shared_y_tables(cold_store.clone());
         assert!(!cold.backward_column_resident(&g, &params, NodeId(3), 6, WalkEngine::Sparse));
-        assert!(!cold.y_table_resident(&g, &params, &p, 6, WalkEngine::Sparse));
+        cold.y_bound_table(&g, &params, &p, 6, WalkEngine::Sparse, 1);
+        cold.y_bound_table(&g, &params, &p, 6, WalkEngine::Sparse, 1);
+        assert_eq!(cold.y_table_stats(), (0, 2));
+        assert_eq!((cold_store.len(), cold_store.stats()), (0, (0, 0)));
     }
 
     #[test]
@@ -1547,8 +1525,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "second session must hit the store");
         assert_eq!(first.y_table_stats(), (0, 1));
         assert_eq!(second.y_table_stats(), (1, 0));
-        assert_eq!(store.stats(), (1, 1));
-        assert!(first.y_table_resident(&g, &params, &p, 5, WalkEngine::Sparse));
+        assert_eq!((store.len(), store.stats()), (1, (1, 1)));
 
         // Capacity 2: a third distinct P evicts the least recently touched.
         let p2 = NodeSet::new("P2", [NodeId(4)]);
@@ -1557,15 +1534,19 @@ mod tests {
         // Touch p (now p2 is LRU), then insert p3.
         first.y_bound_table(&g, &params, &p, 5, WalkEngine::Sparse, 1);
         first.y_bound_table(&g, &params, &p3, 5, WalkEngine::Sparse, 1);
-        assert_eq!(store.len(), 2);
-        assert!(first.y_table_resident(&g, &params, &p, 5, WalkEngine::Sparse));
-        assert!(!first.y_table_resident(&g, &params, &p2, 5, WalkEngine::Sparse));
-        assert!(first.y_table_resident(&g, &params, &p3, 5, WalkEngine::Sparse));
+        assert_eq!((store.len(), store.stats()), (2, (2, 3)));
+        // The other session hits p and p3, and misses the evicted p2.
+        second.y_bound_table(&g, &params, &p, 5, WalkEngine::Sparse, 1);
+        second.y_bound_table(&g, &params, &p3, 5, WalkEngine::Sparse, 1);
+        assert_eq!(store.stats(), (4, 3));
+        second.y_bound_table(&g, &params, &p2, 5, WalkEngine::Sparse, 1);
+        assert_eq!((store.len(), store.stats()), (2, (4, 4)));
 
         // clear() through any sharing context clears the store.
         first.clear();
         assert!(store.is_empty());
-        assert!(!second.y_table_resident(&g, &params, &p, 5, WalkEngine::Sparse));
+        second.y_bound_table(&g, &params, &p, 5, WalkEngine::Sparse, 1);
+        assert_eq!((store.len(), store.stats()), (1, (4, 5)));
     }
 
     #[test]

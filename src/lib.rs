@@ -18,9 +18,10 @@
 //! * [`engine`] — the query-session engine: an [`Engine`] per graph hands
 //!   out [`Session`]s whose warm backward-column caches answer repeated
 //!   query streams without recomputing walks; sessions consume declarative
-//!   [`core::QuerySpec`]s — `Session::run` plans `Auto` specs with a cost
-//!   model over graph statistics and live cache state, and
-//!   `Session::explain` reifies the decision as a `QueryPlan`;
+//!   [`core::QuerySpec`]s — `Session::run` plans `Auto` specs by live
+//!   cache residency (B-BJ when every target column is cached, B-IDJ-Y
+//!   otherwise, PJ-i for n-way), and `Session::explain` reifies the
+//!   decision as a `QueryPlan`;
 //! * [`server`] — the TCP serving layer: a hermetic `std::net` server
 //!   multiplexing any number of clients onto a pool of warm engine
 //!   sessions (bounded queue with `BUSY` backpressure, micro-batching,

@@ -11,6 +11,7 @@
 //! DB   42          # appended to the DB set
 //! ```
 
+use std::collections::HashMap;
 use std::fs;
 use std::path::Path;
 
@@ -20,8 +21,9 @@ use crate::{CliError, Result};
 
 /// Parses node sets from the text format described in the module docs.
 pub fn parse_node_sets(text: &str) -> Result<Vec<NodeSet>> {
-    let mut order: Vec<String> = Vec::new();
-    let mut members: Vec<Vec<NodeId>> = Vec::new();
+    // Sets in order of first appearance, and each name's slot among them.
+    let mut sets: Vec<(&str, Vec<NodeId>)> = Vec::new();
+    let mut slot_of: HashMap<&str, usize> = HashMap::new();
     for (lineno, raw) in text.lines().enumerate() {
         let lineno = lineno + 1;
         let line = match raw.find('#') {
@@ -33,27 +35,22 @@ pub fn parse_node_sets(text: &str) -> Result<Vec<NodeSet>> {
             continue;
         }
         let mut parts = line.split_whitespace();
-        let name = parts.next().expect("non-empty line has a name").to_string();
-        let idx = match order.iter().position(|n| *n == name) {
-            Some(i) => i,
-            None => {
-                order.push(name.clone());
-                members.push(Vec::new());
-                order.len() - 1
-            }
-        };
+        let name = parts.next().expect("non-empty line has a name");
+        let idx = *slot_of.entry(name).or_insert_with(|| {
+            sets.push((name, Vec::new()));
+            sets.len() - 1
+        });
         for token in parts {
             let id: u32 = token.parse().map_err(|_| {
                 CliError::Parse(format!(
                     "sets file line {lineno}: invalid node id '{token}'"
                 ))
             })?;
-            members[idx].push(NodeId(id));
+            sets[idx].1.push(NodeId(id));
         }
     }
-    Ok(order
+    Ok(sets
         .into_iter()
-        .zip(members)
         .map(|(name, ids)| NodeSet::new(name, ids))
         .collect())
 }
@@ -127,6 +124,20 @@ mod tests {
         );
         assert_eq!(sets[1].len(), 2);
         assert_eq!(sets[2].name(), "SYS");
+    }
+
+    #[test]
+    fn continuation_lines_merge_and_sets_keep_first_appearance_order() {
+        let text = "C 9\nA 1 2\nB\nA 3\nC 8 # more of C\nD 4\nB 5 6\nA 1\n";
+        let sets = parse_node_sets(text).unwrap();
+        let names: Vec<&str> = sets.iter().map(NodeSet::name).collect();
+        assert_eq!(names, ["C", "A", "B", "D"]);
+        let members: Vec<Vec<u32>> = sets
+            .iter()
+            .map(|s| s.iter().map(|n| n.0).collect())
+            .collect();
+        // A repeated id keeps its first position.
+        assert_eq!(members, [vec![9, 8], vec![1, 2, 3], vec![5, 6], vec![4]]);
     }
 
     #[test]

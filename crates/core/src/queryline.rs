@@ -295,19 +295,27 @@ pub fn build_query_shape(shape: &str, n: usize) -> Result<QueryGraph, String> {
     }
 }
 
+/// How many set names an unknown-set error lists before it summarises the
+/// rest: the reply to a bad line must not grow with the catalogue.
+const LISTED_SET_NAMES: usize = 16;
+
 /// Looks a set name up in `sets`, with a line-numbered error naming the
-/// offending token and the available names.
+/// offending token and the available names (the first
+/// [`LISTED_SET_NAMES`], then `… and N more`).
 fn set_index(sets: &[NodeSet], name: &str, line_no: usize) -> Result<usize, LineError> {
     sets.iter().position(|s| s.name() == name).ok_or_else(|| {
+        let mut available = sets
+            .iter()
+            .take(LISTED_SET_NAMES)
+            .map(NodeSet::name)
+            .collect::<Vec<_>>()
+            .join(", ");
+        if sets.len() > LISTED_SET_NAMES {
+            available.push_str(&format!(", … and {} more", sets.len() - LISTED_SET_NAMES));
+        }
         LineError::new(
             line_no,
-            format!(
-                "unknown node set '{name}' (available sets: {})",
-                sets.iter()
-                    .map(NodeSet::name)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
+            format!("unknown node set '{name}' (available sets: {available})"),
         )
     })
 }
@@ -748,6 +756,32 @@ mod tests {
         let err = parse("P Q 0\n").unwrap_err();
         assert_eq!(err.line_no, 1);
         assert!(err.to_string().contains("k = 0"), "{err}");
+    }
+
+    #[test]
+    fn an_unknown_set_lists_at_most_sixteen_names_of_a_large_catalogue() {
+        let catalogue: Vec<NodeSet> = (0..1_000u32)
+            .map(|i| NodeSet::new(format!("S{i}"), [NodeId(i)]))
+            .collect();
+        let err = parse_query_file("S0 NOPE\n", &catalogue, &ParseOptions::default()).unwrap_err();
+        let listed: Vec<String> = (0..16).map(|i| format!("S{i}")).collect();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "query line 1: unknown node set 'NOPE' (available sets: {}, … and 984 more)",
+                listed.join(", ")
+            )
+        );
+        // Exactly sixteen sets are all listed, with no summary.
+        let err =
+            parse_query_file("S0 NOPE\n", &catalogue[..16], &ParseOptions::default()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "query line 1: unknown node set 'NOPE' (available sets: {})",
+                listed.join(", ")
+            )
+        );
     }
 
     #[test]

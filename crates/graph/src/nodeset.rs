@@ -6,13 +6,30 @@
 //! `O(log n)` binary searches over an auxiliary index of positions sorted by
 //! node id, and the set's [`NodeSet::signature`] is computed once, at
 //! construction.
+//!
+//! A set is immutable once built, and a [`NodeSet`] is a handle to it:
+//! cloning one bumps a reference count and allocates nothing, so a parsed
+//! query names a catalogue set for the cost of a pointer however large the
+//! set is.
+
+use std::fmt;
+use std::sync::Arc;
 
 use crate::hash::{fnv1a, fnv1a_fold};
 use crate::node::NodeId;
 
 /// A named subset of the nodes of a graph, used as one operand of a join.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeSet {
+///
+/// Clones share storage: `clone()` is a reference-count bump, and the
+/// members, index and signature are never copied.  Equality is still by
+/// content (name and members), so two independently built equal sets
+/// compare equal.
+#[derive(Clone, PartialEq, Eq)]
+pub struct NodeSet(Arc<Contents>);
+
+/// What a [`NodeSet`] handle points at; never mutated after construction.
+#[derive(PartialEq, Eq)]
+struct Contents {
     name: String,
     members: Vec<NodeId>,
     /// Positions into `members`, sorted by the member's id.
@@ -45,12 +62,12 @@ impl NodeSet {
         for node in &members {
             signature = fnv1a_fold(signature, &node.0.to_le_bytes());
         }
-        NodeSet {
+        NodeSet(Arc::new(Contents {
             name: name.into(),
             members,
             by_id,
             signature,
-        }
+        }))
     }
 
     /// Creates an empty node set.
@@ -60,27 +77,27 @@ impl NodeSet {
 
     /// The set's name (e.g. "DB", "AI", "SYS").
     pub fn name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
     /// Number of member nodes `|R_i|`.
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.0.members.len()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.0.members.is_empty()
     }
 
     /// Members in insertion order.
     pub fn members(&self) -> &[NodeId] {
-        &self.members
+        &self.0.members
     }
 
     /// Iterator over members in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.members.iter().copied()
+        self.members().iter().copied()
     }
 
     /// Membership test (binary search over the sorted index).
@@ -91,10 +108,11 @@ impl NodeSet {
     /// Position of `node` in insertion order, if it is a member (binary
     /// search over the sorted index).
     pub fn position(&self, node: NodeId) -> Option<usize> {
-        self.by_id
-            .binary_search_by_key(&node, |&at| self.members[at as usize])
+        let Contents { members, by_id, .. } = &*self.0;
+        by_id
+            .binary_search_by_key(&node, |&at| members[at as usize])
             .ok()
-            .map(|found| self.by_id[found] as usize)
+            .map(|found| by_id[found] as usize)
     }
 
     /// Order-sensitive 64-bit signature of the membership (FNV-1a over the
@@ -102,21 +120,21 @@ impl NodeSet {
     /// Computed once at construction, so keying a cache on a node set costs
     /// a field read however large the set is.
     pub fn signature(&self) -> u64 {
-        self.signature
+        self.0.signature
     }
 
     /// Returns a new node set containing only the members also present in
     /// `other`.
     pub fn intersection(&self, other: &NodeSet) -> NodeSet {
-        let members = self.members.iter().copied().filter(|&n| other.contains(n));
-        NodeSet::new(format!("{}∩{}", self.name, other.name), members)
+        let members = self.iter().filter(|&n| other.contains(n));
+        NodeSet::new(format!("{}∩{}", self.name(), other.name()), members)
     }
 
     /// Returns a membership bitmap of length `node_count`, used by hot walk
     /// loops to avoid hashing.
     pub fn membership_bitmap(&self, node_count: usize) -> Vec<bool> {
         let mut bitmap = vec![false; node_count];
-        for &n in &self.members {
+        for n in self {
             if n.index() < node_count {
                 bitmap[n.index()] = true;
             }
@@ -130,7 +148,26 @@ impl<'a> IntoIterator for &'a NodeSet {
     type IntoIter = std::iter::Copied<std::slice::Iter<'a, NodeId>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.members.iter().copied()
+        self.members().iter().copied()
+    }
+}
+
+/// Prints the set's contents exactly as a plain struct of its four fields
+/// would, hiding the handle.
+impl fmt::Debug for NodeSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Contents {
+            name,
+            members,
+            by_id,
+            signature,
+        } = &*self.0;
+        f.debug_struct("NodeSet")
+            .field("name", name)
+            .field("members", members)
+            .field("by_id", by_id)
+            .field("signature", signature)
+            .finish()
     }
 }
 
@@ -224,6 +261,54 @@ mod tests {
         let s = NodeSet::new("P", ids(&[1, 9]));
         let bm = s.membership_bitmap(3);
         assert_eq!(bm, vec![false, true, false]);
+    }
+
+    #[test]
+    fn clones_share_storage() {
+        let s = NodeSet::new("P", ids(&[4, 2, 9]));
+        let c = s.clone();
+        assert_eq!(c.members().as_ptr(), s.members().as_ptr());
+        assert_eq!(c.name().as_ptr(), s.name().as_ptr());
+        assert_eq!(c, s);
+        assert_eq!(c.position(NodeId(9)), Some(2));
+    }
+
+    #[test]
+    fn independently_built_equal_sets_are_equal_with_one_signature() {
+        let a = NodeSet::new("P", ids(&[4, 2, 9]));
+        let b = NodeSet::new("P", ids(&[4, 2, 4, 9]));
+        assert_ne!(a.members().as_ptr(), b.members().as_ptr());
+        assert_eq!(a, b);
+        assert_eq!(a.signature(), b.signature());
+        // Equality is by content, name included.
+        assert_ne!(a, NodeSet::new("Q", ids(&[4, 2, 9])));
+        assert_ne!(a, NodeSet::new("P", ids(&[2, 4, 9])));
+    }
+
+    #[test]
+    fn handles_cross_threads() {
+        const fn send_and_sync<T: Send + Sync>() {}
+        const _: () = send_and_sync::<NodeSet>();
+    }
+
+    #[test]
+    fn debug_output_is_that_of_the_plain_four_field_struct() {
+        let s = NodeSet::new("P", ids(&[5, 3, 5, 8]));
+        assert_eq!(
+            format!("{s:?}"),
+            "NodeSet { name: \"P\", members: [n5, n3, n8], by_id: [1, 0, 2], \
+             signature: 10650229329578417688 }"
+        );
+        assert_eq!(
+            format!("{s:#?}"),
+            "NodeSet {\n    name: \"P\",\n    members: [\n        n5,\n        n3,\n        \
+             n8,\n    ],\n    by_id: [\n        1,\n        0,\n        2,\n    ],\n    \
+             signature: 10650229329578417688,\n}"
+        );
+        assert_eq!(
+            format!("{:?}", NodeSet::empty("E")),
+            "NodeSet { name: \"E\", members: [], by_id: [], signature: 12161962213042174405 }"
+        );
     }
 
     #[test]

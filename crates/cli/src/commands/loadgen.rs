@@ -7,8 +7,10 @@
 //! wire response bit-for-bit — the loopback parity check the CI smoke job
 //! runs.
 
+use std::time::Duration;
+
 use dht_core::queryline;
-use dht_server::loadgen::{self, LoadGenConfig, LoadMode, SoakConfig};
+use dht_server::loadgen::{self, LoadGenConfig, LoadMode};
 use dht_server::metrics::percentile;
 use dht_server::wire;
 
@@ -17,12 +19,14 @@ use crate::{ArgMap, CliError, Result};
 const HELP: &str = "\
 dht loadgen — replay a query file against a running dht serve instance
 
-Closed-loop (default): one outstanding request per connection, per-request
-latency percentiles.  Open-loop: the whole stream is pipelined per pass,
-exercising the server's ERR BUSY backpressure; rejected queries are
-re-sent (--retry-busy 1) and must answer identically.  Soak: a windowed
-open loop sustained for --duration-ms, built for --connections in the
-thousands, with streaming parity (needs --graph/--sets).
+Every connection keeps a window of requests in flight; the mode sets it.
+closed (default): window 1, each request waits for its answer.  open: the
+whole stream (file × --repeat) pipelined at once, exercising the server's
+ERR BUSY backpressure.  soak: --window requests in flight for
+--duration-ms, cycling the file, built for --connections in the
+thousands (needs --graph/--sets).  Refused queries are re-sent
+(--retry-busy 1) and must answer identically.  Every mode reports
+latency percentiles over all answers.
 
 OPTIONS:
     --host <addr>           server host                          [default: 127.0.0.1]
@@ -30,10 +34,12 @@ OPTIONS:
     --queries <path>        query file to replay (required);
                             same format as `dht querystream`
     --connections <n>       concurrent connections               [default: 2]
-    --repeat <n>            passes over the file per connection  [default: 1]
+    --repeat <n>            closed/open: passes over the file
+                            per connection                       [default: 1]
     --mode <closed|open|soak>  loop discipline                   [default: closed]
-    --duration-ms <n>       soak: wall-clock per connection      [default: 2000]
-    --window <n>            soak: max in-flight per connection   [default: 4]
+    --duration-ms <n>       soak only: wall-clock of new sends   [default: 2000]
+    --window <n>            soak only: max in-flight per
+                            connection                           [default: 4]
     --retry-busy <0|1>      re-send ERR BUSY / ERR QUOTA
                             rejections (capped exponential
                             backoff, honouring quota hints)      [default: 1]
@@ -112,6 +118,33 @@ fn expected_responses(args: &ArgMap, lines: &[String]) -> Result<Vec<String>> {
     Ok(expected)
 }
 
+/// The `--mode` flag, with `--window` / `--duration-ms` for a soak.
+fn mode_from_args(args: &ArgMap) -> Result<LoadMode> {
+    let name = args.get("mode").unwrap_or("closed");
+    if !name.eq_ignore_ascii_case("soak") {
+        if let Some(flag) = ["window", "duration-ms"]
+            .into_iter()
+            .find(|f| args.get(f).is_some())
+        {
+            return Err(CliError::Usage(format!(
+                "--{flag} applies only to --mode soak"
+            )));
+        }
+        return LoadMode::parse(name).ok_or_else(|| {
+            CliError::Parse(format!("unknown --mode '{name}' (closed, open or soak)"))
+        });
+    }
+    if args.get("graph").is_none() || args.get("sets").is_none() {
+        return Err(CliError::Usage(
+            "--mode soak is a parity soak, so --graph and --sets are required".to_string(),
+        ));
+    }
+    Ok(LoadMode::Soak {
+        window: args.get_parsed_or("window", 4usize)?.max(1),
+        duration: Duration::from_millis(args.get_parsed_or("duration-ms", 2000u64)?.max(1)),
+    })
+}
+
 /// Runs the command.
 pub fn run(args: &ArgMap) -> Result<String> {
     if args.wants_help() {
@@ -135,30 +168,31 @@ pub fn run(args: &ArgMap) -> Result<String> {
     let text = std::fs::read_to_string(queries_path).map_err(CliError::Io)?;
     let lines: Vec<String> = text.lines().map(str::to_string).collect();
 
-    let mode = args.get("mode").unwrap_or("closed");
-    if mode.eq_ignore_ascii_case("soak") {
-        return run_soak(args, addr, &lines);
-    }
-    let mode = LoadMode::parse(mode).ok_or_else(|| {
-        CliError::Parse(format!("unknown --mode '{mode}' (closed, open or soak)"))
-    })?;
     let config = LoadGenConfig {
         connections: args.get_parsed_or("connections", 2usize)?.max(1),
         repeat: args.get_parsed_or("repeat", 1usize)?.max(1),
-        mode,
+        mode: mode_from_args(args)?,
         retry_busy: args.get_parsed_or("retry-busy", 1u8)? == 1,
         hostile: args.get_parsed_or("hostile", 0usize)?,
-        ..LoadGenConfig::default()
     };
     let via_router = args.get_parsed_or("via-router", 0u8)? == 1;
     let report = loadgen::run(addr, &lines, &config).map_err(CliError::Io)?;
 
     let mut out = String::new();
+    let shape = match config.mode {
+        LoadMode::Soak { window, duration } => format!(
+            "soaking {:.1} s (window {window}, soak mode)",
+            duration.as_secs_f64()
+        ),
+        mode => format!(
+            "× {} requests ({} mode)",
+            report.requests_per_connection,
+            mode.name()
+        ),
+    };
     out.push_str(&format!(
-        "loadgen: {} connections × {} requests ({} mode) against {addr}{}\n",
+        "loadgen: {} connections {shape} against {addr}{}\n",
         report.connections,
-        report.requests_per_connection,
-        config.mode.name(),
         if via_router { " via router" } else { "" }
     ));
     out.push_str(&format!(
@@ -184,18 +218,19 @@ pub fn run(args: &ArgMap) -> Result<String> {
             hostile.disconnects
         ));
     }
-    if !report.latencies_ms.is_empty() {
-        let mut sorted = report.latencies_ms.clone();
-        sorted.sort_by(f64::total_cmp);
-        out.push_str("latency (ms per request, closed loop)\n");
-        for (label, p) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
-            out.push_str(&format!("  {label}  {:>10.4}\n", percentile(&sorted, p)));
-        }
-        out.push_str(&format!(
-            "  max  {:>10.4}\n",
-            sorted.last().copied().unwrap_or(0.0)
-        ));
+    let mut sorted = report.latencies_ms.clone();
+    sorted.sort_by(f64::total_cmp);
+    out.push_str(&format!(
+        "latency (ms per request, {} samples)\n",
+        sorted.len()
+    ));
+    for (label, p) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
+        out.push_str(&format!("  {label}  {:>10.4}\n", percentile(&sorted, p)));
     }
+    out.push_str(&format!(
+        "  max  {:>10.4}\n",
+        sorted.last().copied().unwrap_or(0.0)
+    ));
 
     // Optional loopback parity verification against in-process answers.
     if args.get("graph").is_some() || args.get("sets").is_some() {
@@ -231,74 +266,6 @@ pub fn run(args: &ArgMap) -> Result<String> {
         }
     }
 
-    if args.get_parsed_or("shutdown", 0u8)? == 1 {
-        let ack = loadgen::send_shutdown(addr).map_err(CliError::Io)?;
-        out.push_str(&format!("shutdown acknowledged: {ack}\n"));
-    }
-    Ok(out)
-}
-
-/// The `--mode soak` path: a sustained windowed open loop with streaming
-/// parity, sized for thousands of connections.
-fn run_soak(args: &ArgMap, addr: std::net::SocketAddr, lines: &[String]) -> Result<String> {
-    let config = SoakConfig {
-        connections: args.get_parsed_or("connections", 2usize)?.max(1),
-        duration: std::time::Duration::from_millis(
-            args.get_parsed_or("duration-ms", 2000u64)?.max(1),
-        ),
-        window: args.get_parsed_or("window", 4usize)?.max(1),
-        retry_busy: args.get_parsed_or("retry-busy", 1u8)? == 1,
-    };
-    if args.get("graph").is_none() || args.get("sets").is_none() {
-        return Err(CliError::Usage(
-            "--mode soak checks parity while streaming, so --graph and --sets are required"
-                .to_string(),
-        ));
-    }
-    let expected = expected_responses(args, lines)?;
-    let report = loadgen::soak(addr, lines, &expected, &config).map_err(CliError::Io)?;
-    if report.parity_failures > 0 {
-        return Err(CliError::Parse(format!(
-            "PARITY FAILURE: {} soak response(s) diverged; first: {}",
-            report.parity_failures,
-            report
-                .first_mismatch
-                .as_deref()
-                .unwrap_or("(mismatch detail lost)")
-        )));
-    }
-    let mut out = String::new();
-    out.push_str(&format!(
-        "loadgen: {} connections soaking {:.1} s (window {}, soak mode) against {addr}\n",
-        report.connections,
-        config.duration.as_secs_f64(),
-        config.window
-    ));
-    out.push_str(&format!(
-        "total {:.4} s, throughput {:.1} requests/s, {} busy rejection(s), \
-         {} quota rejection(s), {} deadline miss(es)\n",
-        report.elapsed.as_secs_f64(),
-        report.throughput(),
-        report.busy_rejections,
-        report.quota_rejections,
-        report.deadline_misses
-    ));
-    if !report.latencies_ms.is_empty() {
-        out.push_str(&format!(
-            "latency (ms per request, {} soak samples)\n",
-            report.latencies_ms.len()
-        ));
-        for (label, p) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
-            out.push_str(&format!(
-                "  {label}  {:>10.4}\n",
-                report.latency_percentile_ms(p)
-            ));
-        }
-    }
-    out.push_str(&format!(
-        "parity: ok ({} responses bit-identical to in-process answers)\n",
-        report.parity_checked
-    ));
     if args.get_parsed_or("shutdown", 0u8)? == 1 {
         let ack = loadgen::send_shutdown(addr).map_err(CliError::Io)?;
         out.push_str(&format!("shutdown acknowledged: {ack}\n"));
@@ -498,6 +465,37 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("--graph"), "{err}");
+    }
+
+    #[test]
+    fn soak_flags_without_soak_mode_are_usage_errors() {
+        for (flag, mode) in [("--window", "closed"), ("--duration-ms", "open")] {
+            let err = run(&argmap(&[
+                "--port",
+                "1",
+                "--queries",
+                "/dev/null",
+                "--mode",
+                mode,
+                flag,
+                "8",
+            ]))
+            .unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{err}");
+            assert!(err.to_string().contains("only to --mode soak"), "{err}");
+        }
+        let err = run(&argmap(&[
+            "--port",
+            "1",
+            "--queries",
+            "/dev/null",
+            "--window",
+            "2",
+        ]));
+        assert!(
+            matches!(err, Err(CliError::Usage(_))),
+            "the default mode is closed"
+        );
     }
 
     #[test]

@@ -63,12 +63,17 @@ pub struct TopKBuffer<T> {
     threshold: f64,
 }
 
+/// Most heap slots [`TopKBuffer::new`] reserves up front.  `k` can come
+/// off the wire, so a buffer for a larger `k` grows on demand instead of
+/// reserving `k` slots it will almost never fill.
+const RESERVE_CAP: usize = 4096;
+
 impl<T: Ord> TopKBuffer<T> {
     /// Creates a buffer retaining at most `k` items.
     pub fn new(k: usize) -> Self {
         TopKBuffer {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.min(RESERVE_CAP) + 1),
             threshold: Self::empty_threshold(k),
         }
     }
@@ -209,6 +214,22 @@ mod tests {
         let out = buf.into_sorted_desc();
         let items: Vec<&str> = out.iter().map(|&(_, v)| v).collect();
         assert_eq!(items, vec!["b", "d", "c"]);
+    }
+
+    #[test]
+    fn an_unbounded_k_reserves_little_and_keeps_the_best_items() {
+        let mut buf = TopKBuffer::new(usize::MAX);
+        assert!(buf.heap.capacity() <= RESERVE_CAP + 1);
+        for v in 0..10_000u32 {
+            buf.insert(f64::from(v % 100), v);
+        }
+        assert_eq!(buf.len(), 10_000);
+        assert!(!buf.is_full());
+        assert_eq!(buf.threshold(), f64::NEG_INFINITY);
+        let out = buf.into_sorted_desc();
+        assert_eq!(out[0], (99.0, 99));
+        assert_eq!(out[1], (99.0, 199));
+        assert_eq!(out[9_999], (0.0, 9_900));
     }
 
     #[test]

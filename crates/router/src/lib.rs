@@ -842,7 +842,9 @@ fn parse_twoway(reply: &str) -> Option<Vec<WirePair>> {
         return None;
     }
     let count: usize = fields.next()?.parse().ok()?;
-    let mut pairs = Vec::with_capacity(count);
+    // The count comes from the backend: reserve no more pairs than the
+    // reply has room for (a pair field is at least 6 bytes with its space).
+    let mut pairs = Vec::with_capacity(count.min(reply.len() / 6));
     for field in fields {
         let mut parts = field.split(':');
         let left: u32 = parts.next()?.parse().ok()?;
@@ -1258,6 +1260,15 @@ mod tests {
         // Typed rejections from any shard propagate verbatim.
         let busy = "ERR BUSY interactive queue full; re-send later".to_string();
         assert_eq!(merge_twoway(&[a, busy.clone()], 10), (busy, 0));
+    }
+
+    #[test]
+    fn a_pair_count_the_reply_cannot_hold_is_refused_without_reserving_it() {
+        assert!(parse_twoway("OK TWOWAY 1000000000000000").is_none());
+        assert!(parse_twoway("OK TWOWAY 18446744073709551615 1:2:0").is_none());
+        let pair = 0.5f64.to_bits();
+        let reply = format!("OK TWOWAY 1 1:2:{pair:016x}");
+        assert_eq!(parse_twoway(&reply).map(|pairs| pairs.len()), Some(1));
     }
 
     #[test]

@@ -1142,6 +1142,19 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_k_answers_every_pair_and_the_server_lives_on() {
+        let server = start_fixture(ServerConfig::default());
+        let responses = roundtrip(
+            server.local_addr(),
+            &["P Q 1000000000000 b-bj", "P Q 25 b-bj", "PING"],
+        );
+        assert!(responses[0].starts_with("OK TWOWAY 25 "), "{responses:?}");
+        assert_eq!(responses[0], responses[1], "all |P|·|Q| pairs");
+        assert_eq!(responses[2], "OK PONG");
+        server.shutdown();
+    }
+
+    #[test]
     fn slow_senders_keep_partial_lines_across_read_timeouts() {
         let server = start_fixture(ServerConfig::default());
         let stream = TcpStream::connect(server.local_addr()).expect("connect");

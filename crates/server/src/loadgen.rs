@@ -3,31 +3,29 @@
 //! per-request latency — plus an optional **hostile-client fault-injection
 //! mode** for proving overload isolation.
 //!
-//! Two loop disciplines for well-behaved connections:
+//! Every well-behaved connection runs the same loop; a [`LoadMode`] only
+//! sets how many requests it keeps in flight (its *window*) and when it
+//! stops sending new ones:
 //!
-//! * **closed-loop** — each connection sends one request, waits for its
-//!   response, then sends the next: per-request latency is meaningful and
-//!   reported as percentiles;
-//! * **open-loop** — each connection pipelines the whole stream, then
-//!   reads the responses back (they arrive in request order): this is the
-//!   throughput / overload probe, and the mode that actually exercises the
-//!   server's `ERR BUSY` backpressure.
+//! * **closed** — window 1 over `lines × repeat` positions: each request
+//!   waits for its response before the next is sent;
+//! * **open** — the whole `lines × repeat` stream is the window: it is
+//!   pipelined at once, the probe that exercises the server's `ERR BUSY`
+//!   backpressure;
+//! * **soak** — `window` requests in flight until `duration` has passed,
+//!   cycling the stream; built for *thousands* of connections (small client
+//!   thread stacks, a raised descriptor limit).
 //!
-//! A third discipline, [`soak`], is a separate entry point: a **windowed
-//! open-loop** that sustains a bounded number of in-flight requests per
-//! connection for a wall-clock duration, checking parity against expected
-//! responses as they stream back.  It is built for *thousands* of
-//! connections (small client thread stacks, bounded latency reservoirs)
-//! and is what `dht loadgen --mode soak` and the `server_soak` bench row
-//! drive.
-//!
-//! In both modes `ERR BUSY` and `ERR QUOTA` rejections are (optionally)
-//! **re-sent** until answered, spaced by a deterministic
-//! capped-exponential [`busy_backoff`] schedule (quota retries also honour
-//! the server's retry-after hint) — re-running a query is always
-//! bit-identical, so retries never change results, only timing.  The
-//! final response per stream position is collected, which is what parity
-//! checks compare against in-process answers.
+//! Responses arrive in request order, so the in-flight queue maps each one
+//! to the stream position it answers.  With retries on, an `ERR BUSY` or
+//! `ERR QUOTA` reply puts its position on a retry list, and no new position
+//! is sent while that list is non-empty.  Once nothing is in flight the
+//! connection sleeps a deterministic capped-exponential [`busy_backoff`]
+//! (at least the largest quota retry-after hint) and re-sends the list
+//! first.  Re-running a query is always bit-identical, so retries never
+//! change results, only timing.  Every final response lands in
+//! [`LoadReport::responses`] at its position and its latency in
+//! [`LoadReport::latencies_ms`] — what parity checks and percentiles read.
 //!
 //! ## Hostile clients
 //!
@@ -50,6 +48,7 @@
 //! anywhere: profiles, chunk sizes and iteration floors are fixed, so a
 //! given configuration misbehaves identically on every run.
 
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,19 +56,28 @@ use std::time::{Duration, Instant};
 
 use crate::wire;
 
-/// Loop discipline of a load-generation run.
+/// Loop discipline of a load-generation run: a window and a stop rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadMode {
-    /// One outstanding request per connection; latency percentiles are
-    /// meaningful.
+    /// Window 1 over `lines × repeat` positions: one outstanding request
+    /// per connection.
     Closed,
-    /// The whole stream pipelined at once per round; exercises
+    /// The whole `lines × repeat` stream as the window; exercises
     /// backpressure.
     Open,
+    /// `window` requests in flight until `duration` has passed, cycling
+    /// the stream (`repeat` is ignored).
+    Soak {
+        /// Maximum in-flight requests per connection (at least 1).
+        window: usize,
+        /// Wall-clock time during which new positions are sent.
+        duration: Duration,
+    },
 }
 
 impl LoadMode {
-    /// Parses `closed` / `open`, case-insensitively.
+    /// Parses `closed` / `open`, case-insensitively (a soak is built from
+    /// its window and duration, not parsed).
     pub fn parse(name: &str) -> Option<LoadMode> {
         match name.to_ascii_lowercase().as_str() {
             "closed" => Some(LoadMode::Closed),
@@ -83,6 +91,17 @@ impl LoadMode {
         match self {
             LoadMode::Closed => "closed",
             LoadMode::Open => "open",
+            LoadMode::Soak { .. } => "soak",
+        }
+    }
+
+    /// In-flight requests a connection keeps when its run has `total`
+    /// (`lines × repeat`) positions.
+    fn window(&self, total: usize) -> usize {
+        match *self {
+            LoadMode::Closed => 1,
+            LoadMode::Open => total,
+            LoadMode::Soak { window, .. } => window.max(1),
         }
     }
 }
@@ -93,16 +112,13 @@ pub struct LoadGenConfig {
     /// Concurrent well-behaved connections (≥ 1), each replaying the full
     /// stream.
     pub connections: usize,
-    /// Passes over the stream per connection (≥ 1).
+    /// Passes over the stream per connection (≥ 1; closed and open only).
     pub repeat: usize,
     /// Loop discipline.
     pub mode: LoadMode,
     /// Whether `ERR BUSY` / `ERR QUOTA` rejections are re-sent until
     /// answered.
     pub retry_busy: bool,
-    /// Open-loop retry-round bound (guards against a server that never
-    /// frees capacity).
-    pub max_rounds: usize,
     /// Hostile connections to run alongside the well-behaved ones
     /// (fault injection; `0` disables).
     pub hostile: usize,
@@ -117,11 +133,15 @@ impl Default for LoadGenConfig {
             repeat: 1,
             mode: LoadMode::Closed,
             retry_busy: true,
-            max_rounds: 512,
             hostile: 0,
         }
     }
 }
+
+/// Consecutive retry rounds a connection may spend without sending a new
+/// position before the run fails with `TimedOut` (guards against a server
+/// that never frees capacity).
+const MAX_RETRY_ROUNDS: u32 = 512;
 
 /// Deterministic capped-exponential backoff before retry `attempt`
 /// (0-based): 200 µs doubling per attempt, capped at 50 ms — so a retry
@@ -153,6 +173,7 @@ pub struct HostileReport {
 
 impl HostileReport {
     fn absorb(&mut self, other: &HostileReport) {
+        self.connections += other.connections;
         self.sent += other.sent;
         self.answered += other.answered;
         self.busy_rejections += other.busy_rejections;
@@ -174,11 +195,12 @@ impl HostileReport {
 }
 
 /// What a load-generation run measured.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LoadReport {
     /// Well-behaved connections driven.
     pub connections: usize,
-    /// Requests per well-behaved connection (`unique lines × repeat`).
+    /// Requests per well-behaved connection: `unique lines × repeat`, or
+    /// for a soak the most any connection completed.
     pub requests_per_connection: usize,
     /// Final responses collected over all well-behaved connections.
     pub answered: usize,
@@ -193,7 +215,8 @@ pub struct LoadReport {
     pub deadline_misses: u64,
     /// Wall-clock of the whole run (all connections).
     pub elapsed: Duration,
-    /// Per-request latencies in ms (closed-loop only; empty in open-loop).
+    /// Latency in ms of every final response, from the send of the
+    /// attempt it answers (unsorted).
     pub latencies_ms: Vec<f64>,
     /// Final response line per `[connection][stream position]` — what
     /// parity checks compare.
@@ -231,110 +254,82 @@ struct ConnectionOutcome {
     deadline_misses: u64,
 }
 
-/// One well-behaved connection's replay.
+/// One well-behaved connection's replay: keeps `config.mode`'s window
+/// full until its stop rule — `lines × repeat` positions sent, or, for a
+/// soak, `deadline` passed — then drains, re-sending refused positions.
 fn drive_connection(
     addr: SocketAddr,
     stream_lines: &[String],
     config: &LoadGenConfig,
+    deadline: Option<Instant>,
 ) -> std::io::Result<ConnectionOutcome> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true).ok();
     let mut writer = BufWriter::new(stream.try_clone()?);
     let mut reader = BufReader::new(stream);
-    let total = stream_lines.len() * config.repeat;
-    let line_at = |index: usize| &stream_lines[index % stream_lines.len()];
-    let mut finals: Vec<Option<String>> = vec![None; total];
+    let total = stream_lines.len() * config.repeat.max(1);
+    let window = config.mode.window(total);
+    let line_at = |position: usize| &stream_lines[position % stream_lines.len()];
+    let more = |position: usize| deadline.map_or(position < total, |end| Instant::now() < end);
+    let mut finals: Vec<Option<String>> = Vec::new();
+    // In-flight requests, oldest first: (stream position, send time).
+    let mut inflight: VecDeque<(usize, Instant)> = VecDeque::new();
+    let mut refused: Vec<usize> = Vec::new();
+    // Retry rounds since a new position was last sent, and the largest
+    // quota hint seen since the last round.
+    let (mut rounds, mut hint_ms) = (0u32, 0u64);
     let mut outcome = ConnectionOutcome::default();
-    match config.mode {
-        LoadMode::Closed => {
-            for (index, slot) in finals.iter_mut().enumerate() {
-                let mut attempt = 0u32;
-                loop {
-                    let start = Instant::now();
-                    writeln!(writer, "{}", line_at(index))?;
-                    writer.flush()?;
-                    let response = read_response(&mut reader)?;
-                    if config.retry_busy && wire::is_busy(&response) {
-                        outcome.busy += 1;
-                        // Capped exponential: give the queue geometrically
-                        // more time to drain on each refusal.
-                        std::thread::sleep(busy_backoff(attempt));
-                        attempt += 1;
-                        continue;
-                    }
-                    if config.retry_busy && wire::is_quota(&response) {
-                        outcome.quota += 1;
-                        // The hint is exact (one token's refill time), but
-                        // never back off less than the busy schedule would.
-                        let hint = wire::retry_after_ms(&response).unwrap_or(1);
-                        std::thread::sleep(busy_backoff(attempt).max(Duration::from_millis(hint)));
-                        attempt += 1;
-                        continue;
-                    }
-                    if wire::is_deadline(&response) {
-                        outcome.deadline_misses += 1;
-                    }
-                    outcome.latencies.push(start.elapsed().as_secs_f64() * 1e3);
-                    *slot = Some(response);
-                    break;
-                }
-            }
+    loop {
+        while refused.is_empty() && inflight.len() < window && more(finals.len()) {
+            writeln!(writer, "{}", line_at(finals.len()))?;
+            inflight.push_back((finals.len(), Instant::now()));
+            finals.push(None);
+            rounds = 0;
         }
-        LoadMode::Open => {
-            let mut pending: Vec<usize> = (0..total).collect();
-            let mut rounds = 0usize;
-            let mut hint_ms = 0u64;
-            while !pending.is_empty() {
-                rounds += 1;
-                if rounds > 1 {
-                    // Capped exponential backoff between retry rounds
-                    // (honouring the largest quota hint from the previous
-                    // round): against a tiny queue, competing connections
-                    // otherwise spin faster than workers can drain.
-                    let backoff = busy_backoff(rounds as u32 - 2);
-                    std::thread::sleep(backoff.max(Duration::from_millis(hint_ms)));
-                }
-                if rounds > config.max_rounds {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        format!(
-                            "{} request(s) still refused after {} open-loop rounds",
-                            pending.len(),
-                            config.max_rounds
-                        ),
-                    ));
-                }
-                for &index in &pending {
-                    writeln!(writer, "{}", line_at(index))?;
-                }
-                writer.flush()?;
-                // Responses come back in request order, so this zip maps
-                // each response to the request it answers.
-                let mut still_pending = Vec::new();
-                hint_ms = 0;
-                for &index in &pending {
-                    let response = read_response(&mut reader)?;
-                    if config.retry_busy && wire::is_busy(&response) {
-                        outcome.busy += 1;
-                        still_pending.push(index);
-                    } else if config.retry_busy && wire::is_quota(&response) {
-                        outcome.quota += 1;
-                        hint_ms = hint_ms.max(wire::retry_after_ms(&response).unwrap_or(1));
-                        still_pending.push(index);
-                    } else {
-                        if wire::is_deadline(&response) {
-                            outcome.deadline_misses += 1;
-                        }
-                        finals[index] = Some(response);
-                    }
-                }
-                pending = still_pending;
+        writer.flush()?;
+        let Some((position, sent)) = inflight.pop_front() else {
+            if refused.is_empty() {
+                break;
             }
+            if rounds == MAX_RETRY_ROUNDS {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::TimedOut,
+                    format!(
+                        "{} request(s) still refused after {MAX_RETRY_ROUNDS} retry rounds",
+                        refused.len()
+                    ),
+                ));
+            }
+            // Capped exponential: against a tiny queue, competing
+            // connections otherwise spin faster than workers can drain.
+            std::thread::sleep(busy_backoff(rounds).max(Duration::from_millis(hint_ms)));
+            (rounds, hint_ms) = (rounds + 1, 0);
+            for position in refused.drain(..) {
+                writeln!(writer, "{}", line_at(position))?;
+                inflight.push_back((position, Instant::now()));
+            }
+            continue;
+        };
+        let response = read_response(&mut reader)?;
+        if config.retry_busy && wire::is_busy(&response) {
+            outcome.busy += 1;
+            refused.push(position);
+        } else if config.retry_busy && wire::is_quota(&response) {
+            outcome.quota += 1;
+            // The hint is exact (one token's refill time).
+            hint_ms = hint_ms.max(wire::retry_after_ms(&response).unwrap_or(1));
+            refused.push(position);
+        } else {
+            if wire::is_deadline(&response) {
+                outcome.deadline_misses += 1;
+            }
+            outcome.latencies.push(sent.elapsed().as_secs_f64() * 1e3);
+            finals[position] = Some(response);
         }
     }
     outcome.finals = finals
         .into_iter()
-        .map(|slot| slot.expect("every request answered"))
+        .map(|slot| slot.expect("every sent position answered"))
         .collect();
     Ok(outcome)
 }
@@ -501,6 +496,10 @@ fn drive_hostile(
     report
 }
 
+/// Client threads are cheap stacks, not defaults: a soak drives thousands
+/// of connections, and the 8 MiB default stack would reserve gigabytes.
+const CLIENT_STACK_BYTES: usize = 256 * 1024;
+
 /// Replays `lines` (raw query-language lines; comments and blanks are
 /// stripped here, matching the file parser) against the server at `addr`
 /// on `config.connections` concurrent well-behaved connections, plus
@@ -511,9 +510,10 @@ fn drive_hostile(
 ///
 /// # Errors
 /// Fails on well-behaved connection errors, a server that closes one
-/// mid-stream, an empty stream, or open-loop starvation beyond
-/// `max_rounds`.  Hostile connection errors are *not* failures — being
-/// cut off is an expected outcome for a misbehaving client.
+/// mid-stream, an empty stream, or a connection whose refused requests
+/// are still refused after 512 retry rounds.  Hostile connection errors
+/// are *not* failures — being cut off is an expected outcome for a
+/// misbehaving client.
 pub fn run(
     addr: SocketAddr,
     lines: &[String],
@@ -530,8 +530,16 @@ pub fn run(
         ));
     }
     let connections = config.connections.max(1);
+    // A client connection holds two descriptors (its stream and the write
+    // clone), so thousands overrun the common 1024 soft limit; lift it
+    // best-effort, with headroom for stdio and an in-process server.
+    let _ = dht_poll::raise_nofile_limit(2 * (connections + config.hostile) as u64 + 256);
     let stop = AtomicBool::new(false);
     let started = Instant::now();
+    let deadline = match config.mode {
+        LoadMode::Soak { duration, .. } => Some(started + duration),
+        LoadMode::Closed | LoadMode::Open => None,
+    };
     let (outcomes, hostile_reports): (Vec<std::io::Result<ConnectionOutcome>>, Vec<HostileReport>) =
         std::thread::scope(|scope| {
             let hostile_handles: Vec<_> = (0..config.hostile)
@@ -556,7 +564,9 @@ pub fn run(
                     let stream_lines = &stream_lines;
                     std::thread::Builder::new()
                         .stack_size(CLIENT_STACK_BYTES)
-                        .spawn_scoped(scope, move || drive_connection(addr, stream_lines, config))
+                        .spawn_scoped(scope, move || {
+                            drive_connection(addr, stream_lines, config, deadline)
+                        })
                         .expect("spawn loadgen connection")
                 })
                 .collect();
@@ -574,270 +584,23 @@ pub fn run(
     let elapsed = started.elapsed();
     let mut hostile = HostileReport::default();
     for report in &hostile_reports {
-        hostile.connections += report.connections;
         hostile.absorb(report);
     }
     let mut report = LoadReport {
         connections,
-        requests_per_connection: stream_lines.len() * config.repeat.max(1),
-        answered: 0,
-        busy_rejections: 0,
-        quota_rejections: 0,
-        deadline_misses: 0,
         elapsed,
-        latencies_ms: Vec::new(),
-        responses: Vec::new(),
         hostile,
+        ..LoadReport::default()
     };
     for outcome in outcomes {
         let outcome = outcome?;
+        report.requests_per_connection = report.requests_per_connection.max(outcome.finals.len());
         report.answered += outcome.finals.len();
         report.responses.push(outcome.finals);
         report.latencies_ms.extend(outcome.latencies);
         report.busy_rejections += outcome.busy;
         report.quota_rejections += outcome.quota;
         report.deadline_misses += outcome.deadline_misses;
-    }
-    Ok(report)
-}
-
-/// Client threads are cheap stacks, not defaults: a soak drives thousands
-/// of connections, and the 8 MiB default stack would reserve gigabytes.
-const CLIENT_STACK_BYTES: usize = 256 * 1024;
-
-/// Most recent latency samples each soak connection keeps (a ring):
-/// bounds soak memory to `connections × RING × 8` bytes while keeping
-/// aggregate percentiles meaningful.
-const SOAK_LATENCY_RING: usize = 512;
-
-/// Knobs of a [`soak`] run.
-#[derive(Debug, Clone, Copy)]
-pub struct SoakConfig {
-    /// Concurrent connections (≥ 1; thousands are the design point).
-    pub connections: usize,
-    /// Wall-clock duration each connection keeps its window full.
-    pub duration: Duration,
-    /// Maximum in-flight (sent, unanswered) requests per connection.
-    pub window: usize,
-    /// Whether `ERR BUSY` / `ERR QUOTA` responses are re-sent (within the
-    /// duration) instead of counted as final.
-    pub retry_busy: bool,
-}
-
-impl Default for SoakConfig {
-    /// 1000 connections, 2 s, window 4, retries on.
-    fn default() -> Self {
-        SoakConfig {
-            connections: 1000,
-            duration: Duration::from_secs(2),
-            window: 4,
-            retry_busy: true,
-        }
-    }
-}
-
-/// What a [`soak`] run measured, aggregated over all connections.
-#[derive(Debug, Default)]
-pub struct SoakReport {
-    /// Connections driven.
-    pub connections: usize,
-    /// Final responses received (busy/quota retries excluded).
-    pub answered: u64,
-    /// `ERR BUSY` responses observed (re-sent when retries are on).
-    pub busy_rejections: u64,
-    /// `ERR QUOTA` responses observed (re-sent when retries are on).
-    pub quota_rejections: u64,
-    /// `ERR DEADLINE` final responses (not retried, not parity-checked).
-    pub deadline_misses: u64,
-    /// Final responses compared against an expected answer (everything
-    /// except typed busy/quota/deadline lines).
-    pub parity_checked: u64,
-    /// Final responses that did not match the expected answer for their
-    /// stream position.
-    pub parity_failures: u64,
-    /// The first mismatch, as `expected … got …` (parity debugging aid).
-    pub first_mismatch: Option<String>,
-    /// Wall-clock of the whole run.
-    pub elapsed: Duration,
-    /// Sampled per-request latencies in ms (the most recent
-    /// `SOAK_LATENCY_RING` per connection), unsorted.
-    pub latencies_ms: Vec<f64>,
-}
-
-impl SoakReport {
-    /// Final responses per second, sustained over the whole run.
-    pub fn throughput(&self) -> f64 {
-        self.answered as f64 / self.elapsed.as_secs_f64().max(1e-12)
-    }
-
-    /// The `p`-th percentile (0 ≤ p ≤ 1) of the sampled latencies, ms.
-    pub fn latency_percentile_ms(&self, p: f64) -> f64 {
-        let mut sorted = self.latencies_ms.clone();
-        sorted.sort_by(f64::total_cmp);
-        crate::metrics::percentile(&sorted, p)
-    }
-}
-
-/// One soak connection's tally, merged into the [`SoakReport`].
-#[derive(Debug, Default)]
-struct SoakOutcome {
-    answered: u64,
-    busy: u64,
-    quota: u64,
-    deadline_misses: u64,
-    parity_checked: u64,
-    parity_failures: u64,
-    first_mismatch: Option<String>,
-    latencies: Vec<f64>,
-    latency_next: usize,
-}
-
-impl SoakOutcome {
-    fn record_latency(&mut self, ms: f64) {
-        if self.latencies.len() < SOAK_LATENCY_RING {
-            self.latencies.push(ms);
-        } else {
-            self.latencies[self.latency_next] = ms;
-            self.latency_next = (self.latency_next + 1) % SOAK_LATENCY_RING;
-        }
-    }
-}
-
-/// One soak connection: keep up to `window` requests in flight until the
-/// deadline, then drain.  Responses arrive in request order, so the
-/// in-flight queue maps each response to the stream position (and send
-/// time) it answers.
-fn drive_soak_connection(
-    addr: SocketAddr,
-    stream_lines: &[String],
-    expected: &[String],
-    config: &SoakConfig,
-    deadline: Instant,
-) -> std::io::Result<SoakOutcome> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true).ok();
-    let mut writer = BufWriter::new(stream.try_clone()?);
-    let mut reader = BufReader::new(stream);
-    let line_at = |position: u64| &stream_lines[(position % stream_lines.len() as u64) as usize];
-    let mut outcome = SoakOutcome::default();
-    // In-flight requests, oldest first: (stream position, send time).
-    let mut inflight: std::collections::VecDeque<(u64, Instant)> =
-        std::collections::VecDeque::new();
-    let mut next_position = 0u64;
-    loop {
-        let open = Instant::now() < deadline;
-        while open && inflight.len() < config.window.max(1) {
-            writeln!(writer, "{}", line_at(next_position))?;
-            inflight.push_back((next_position, Instant::now()));
-            next_position += 1;
-        }
-        writer.flush()?;
-        let Some((position, sent)) = inflight.pop_front() else {
-            break; // window empty past the deadline: done
-        };
-        let response = read_response(&mut reader)?;
-        if config.retry_busy && open && (wire::is_busy(&response) || wire::is_quota(&response)) {
-            if wire::is_busy(&response) {
-                outcome.busy += 1;
-            } else {
-                outcome.quota += 1;
-            }
-            // Re-send the same stream position at the window's tail; the
-            // bounded window paces retries at roughly one round-trip, so
-            // no extra backoff is needed.
-            writeln!(writer, "{}", line_at(position))?;
-            inflight.push_back((position, Instant::now()));
-            continue;
-        }
-        outcome.answered += 1;
-        outcome.record_latency(sent.elapsed().as_secs_f64() * 1e3);
-        if wire::is_busy(&response) {
-            outcome.busy += 1;
-        } else if wire::is_quota(&response) {
-            outcome.quota += 1;
-        } else if wire::is_deadline(&response) {
-            outcome.deadline_misses += 1;
-        } else {
-            outcome.parity_checked += 1;
-            let want = &expected[(position % expected.len() as u64) as usize];
-            if &response != want {
-                outcome.parity_failures += 1;
-                outcome.first_mismatch.get_or_insert_with(|| {
-                    format!("position {position}: expected {want:?} got {response:?}")
-                });
-            }
-        }
-    }
-    Ok(outcome)
-}
-
-/// Sustained windowed-open-loop soak: `config.connections` connections
-/// each keep up to `config.window` requests in flight for
-/// `config.duration`, cycling over `lines`; every final response is
-/// parity-checked against `expected` (the in-process answer per stream
-/// position, see [`run`]'s parity convention).  `ERR DEADLINE` responses
-/// count as misses, not parity failures; `ERR BUSY` / `ERR QUOTA` are
-/// re-sent while the window is open when `retry_busy` is set.
-///
-/// # Errors
-/// Fails on connection errors, a server that closes a connection
-/// mid-stream, an empty stream, or `expected` being empty.
-pub fn soak(
-    addr: SocketAddr,
-    lines: &[String],
-    expected: &[String],
-    config: &SoakConfig,
-) -> std::io::Result<SoakReport> {
-    let stream_lines: Vec<String> = lines
-        .iter()
-        .filter_map(|raw| crate::wire::strip_line(raw).map(str::to_string))
-        .collect();
-    if stream_lines.is_empty() || expected.is_empty() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "soak needs a non-empty query stream and expected answers",
-        ));
-    }
-    let connections = config.connections.max(1);
-    // Thousands of client sockets overrun the common 1024-descriptor soft
-    // limit; lift it best-effort (headroom for stdio and the test harness).
-    let _ = dht_poll::raise_nofile_limit(connections as u64 + 256);
-    let started = Instant::now();
-    let deadline = started + config.duration;
-    let outcomes: Vec<std::io::Result<SoakOutcome>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..connections)
-            .map(|_| {
-                let stream_lines = &stream_lines;
-                std::thread::Builder::new()
-                    .stack_size(CLIENT_STACK_BYTES)
-                    .spawn_scoped(scope, move || {
-                        drive_soak_connection(addr, stream_lines, expected, config, deadline)
-                    })
-                    .expect("spawn soak connection")
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("soak connection panicked"))
-            .collect()
-    });
-    let mut report = SoakReport {
-        connections,
-        elapsed: started.elapsed(),
-        ..SoakReport::default()
-    };
-    for outcome in outcomes {
-        let outcome = outcome?;
-        report.answered += outcome.answered;
-        report.busy_rejections += outcome.busy;
-        report.quota_rejections += outcome.quota;
-        report.deadline_misses += outcome.deadline_misses;
-        report.parity_checked += outcome.parity_checked;
-        report.parity_failures += outcome.parity_failures;
-        if report.first_mismatch.is_none() {
-            report.first_mismatch = outcome.first_mismatch;
-        }
-        report.latencies_ms.extend(outcome.latencies);
     }
     Ok(report)
 }
@@ -987,10 +750,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.answered, 2 * 4 * 3);
-        assert!(
-            report.latencies_ms.is_empty(),
-            "open loop has no per-request latency"
-        );
+        assert_eq!(report.latencies_ms.len(), report.answered);
         let expected = expected_responses(&stream());
         for finals in &report.responses {
             for (index, response) in finals.iter().enumerate() {
@@ -1097,39 +857,106 @@ mod tests {
         )
         .unwrap();
         let lines = stream();
-        let expected = expected_responses(&lines);
-        let report = soak(
+        let report = run(
             server.local_addr(),
             &lines,
-            &expected,
-            &SoakConfig {
+            &LoadGenConfig {
                 connections: 32,
-                duration: Duration::from_millis(300),
-                window: 2,
-                retry_busy: true,
+                mode: LoadMode::Soak {
+                    window: 2,
+                    duration: Duration::from_millis(300),
+                },
+                ..LoadGenConfig::default()
             },
         )
         .unwrap();
         assert_eq!(report.connections, 32);
         assert!(report.answered > 0, "{report:?}");
-        assert_eq!(report.parity_failures, 0, "{:?}", report.first_mismatch);
         assert_eq!(report.deadline_misses, 0, "{report:?}");
+        assert_eq!(report.latencies_ms.len(), report.answered);
         assert!(report.throughput() > 0.0);
-        assert!(!report.latencies_ms.is_empty());
-        assert!(report.latency_percentile_ms(0.99) > 0.0);
+        let expected = expected_responses(&lines);
+        for finals in &report.responses {
+            assert!(!finals.is_empty() && finals.len() <= report.requests_per_connection);
+            for (position, response) in finals.iter().enumerate() {
+                assert_eq!(response, &expected[position % expected.len()]);
+            }
+        }
         let stats = server.shutdown();
         assert_eq!(stats.connections, 0);
         server_drained(&stats);
     }
 
     #[test]
-    fn soak_refuses_empty_streams_and_missing_expectations() {
-        let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let config = SoakConfig::default();
-        let none = soak(addr, &["# nothing".to_string()], &[], &config).unwrap_err();
-        assert_eq!(none.kind(), std::io::ErrorKind::InvalidInput);
-        let no_expected = soak(addr, &["P Q 3".to_string()], &[], &config).unwrap_err();
-        assert_eq!(no_expected.kind(), std::io::ErrorKind::InvalidInput);
+    fn soak_refuses_empty_streams() {
+        let err = run(
+            "127.0.0.1:1".parse().unwrap(),
+            &["# nothing".to_string()],
+            &LoadGenConfig {
+                mode: LoadMode::Soak {
+                    window: 4,
+                    duration: Duration::from_secs(2),
+                },
+                ..LoadGenConfig::default()
+            },
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
+
+    /// Runs `mode` on one connection against a stub server that answers
+    /// only once the client has gone quiet for 20 ms, and returns the most
+    /// lines the stub ever held unanswered, with the run's report.
+    fn most_unanswered(mode: LoadMode) -> (usize, LoadReport) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stub = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_millis(20)))
+                .unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let (mut held, mut most, mut line) = (0usize, 0usize, String::new());
+            loop {
+                match reader.read_line(&mut line) {
+                    Ok(0) => return most,
+                    Ok(_) => {
+                        line.clear();
+                        held += 1;
+                        most = most.max(held);
+                    }
+                    Err(_) => {
+                        stream.write_all(&b"OK STUB\n".repeat(held)).unwrap();
+                        held = 0;
+                    }
+                }
+            }
+        });
+        let config = LoadGenConfig {
+            repeat: 2,
+            mode,
+            ..LoadGenConfig::default()
+        };
+        let report = run(addr, &stream(), &config).unwrap();
+        (stub.join().unwrap(), report)
+    }
+
+    #[test]
+    fn a_mode_keeps_exactly_its_window_in_flight() {
+        let (closed, report) = most_unanswered(LoadMode::Closed);
+        assert_eq!(closed, 1, "closed sends after each answer");
+        assert_eq!(report.answered, 8);
+        assert_eq!(report.latencies_ms.len(), 8);
+        let (open, _) = most_unanswered(LoadMode::Open);
+        assert_eq!(open, 8, "open pipelines the whole stream");
+        let soak = LoadMode::Soak {
+            window: 3,
+            duration: Duration::from_millis(150),
+        };
+        let (soaked, report) = most_unanswered(soak);
+        assert_eq!(soaked, 3, "a soak keeps its window full");
+        assert!(report.answered >= 3, "{report:?}");
+        assert!(report.responses[0].iter().all(|line| line == "OK STUB"));
     }
 
     #[test]
@@ -1161,5 +988,6 @@ mod tests {
         assert_eq!(LoadMode::parse("closed"), Some(LoadMode::Closed));
         assert_eq!(LoadMode::parse("burst"), None);
         assert_eq!(LoadMode::Open.name(), "open");
+        assert_eq!(LoadMode::parse("soak"), None, "a soak needs its window");
     }
 }

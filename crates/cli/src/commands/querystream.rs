@@ -14,8 +14,8 @@
 //! With `--sessions N` the stream is answered by `N` concurrent sessions
 //! (query `i` goes to session `i % N`), all reading and filling the
 //! engine's cross-session `SharedColumnCache`, so clients warm each other;
-//! with `--shared 0` each session falls back to a private cache of the same
-//! byte budget.  Answers are bit-identical in every configuration — the
+//! with `--shared 0` each session holds a cache of the same type and byte
+//! budget that no other session holds.  Answers are bit-identical in every configuration — the
 //! planner only moves latency.
 
 use std::time::Instant;

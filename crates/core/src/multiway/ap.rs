@@ -60,12 +60,12 @@ pub fn run(
 /// (each join serial inside, so workers are not oversubscribed), and their
 /// outputs are absorbed in edge order — identical to a serial run.  In the
 /// concurrent case each worker forks the session context
-/// ([`QueryCtx::fork`]): when the session is backed by a cross-session
-/// `SharedColumnCache`, the workers read and fill that cache concurrently,
-/// so query edges that share a node set reuse each other's backward columns
-/// even on the parallel path (a session-private cache degrades to one-shot
-/// worker contexts, as before).  The serial path threads the session
-/// context through every edge directly.
+/// ([`QueryCtx::fork`]), which holds the session's stores, so a backward
+/// `two_way` algorithm reads and fills the same caches on the parallel path
+/// as on the serial one.  [`NWayAlgorithm::AllPairs`](super::NWayAlgorithm)
+/// passes F-BJ, which reads no column: its per-edge joins neither read nor
+/// warm any cache.  The serial path threads the session context through
+/// every edge directly.
 pub fn run_with_ctx(
     graph: &Graph,
     config: &NWayConfig,
@@ -81,8 +81,7 @@ pub fn run_with_ctx(
     let outputs = if threads > 1 && edges.len() > 1 {
         // Outer-level parallelism over query edges; inner joins run serial
         // so total concurrency stays at the requested thread count.  Each
-        // worker forks the session context once, so shared-cache sessions
-        // keep warming each other across edges and threads.
+        // worker forks the session context once, holding its stores.
         let inner = config.two_way().with_threads(1);
         let worker_ctx = &*ctx;
         dht_par::parallel_map_init(

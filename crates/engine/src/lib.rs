@@ -26,8 +26,8 @@
 //! pointer.  The engine itself is immutable and `Sync`, so `&Engine` can be
 //! shared across any number of scoped threads, each opening its own
 //! session; [`Engine::batch_sessions`] packages exactly that pattern for
-//! query streams.  Setting [`EngineConfig::shared_cache`] to `false` falls
-//! back to fully session-private caches (same byte budget each).
+//! query streams.  With [`EngineConfig::shared_cache`] off, each session
+//! holds stores of its own, of the same types and budgets.
 //!
 //! Answers are **bit-identical** to the one-shot free functions at every
 //! cache state, thread count and session interleaving (the repository's
@@ -90,7 +90,7 @@ use dht_walks::{
 // The declarative query surface, re-exported so engine callers need not
 // depend on `dht-core` directly.
 pub use dht_core::spec::{AlgorithmChoice, NWaySpec, QuerySpec, TwoWaySpec};
-pub use dht_walks::Trace;
+pub use dht_walks::{Trace, DEFAULT_Y_TABLE_CAPACITY};
 pub use plan::{PlanCounters, PlannedAlgorithm, QueryPlan};
 
 /// Construction-time knobs of an [`Engine`].
@@ -109,25 +109,21 @@ pub struct EngineConfig {
     /// (`dht_walks::column_bytes` per entry).  `0` disables caching
     /// entirely.
     pub cache_bytes: usize,
-    /// `true` (the default): the engine owns one cross-session
-    /// [`SharedColumnCache`] of `cache_bytes` **and** one cross-session
-    /// [`SharedYTableStore`], and every session reads and writes through
-    /// them, so concurrent clients warm each other.  `false`: each session
-    /// gets its own private caches of the same budgets.
+    /// Whether sessions share their stores.  Every caching session reads
+    /// and writes one [`SharedColumnCache`] of `cache_bytes` and one
+    /// [`SharedYTableStore`] of `y_table_capacity`; `true` (the default)
+    /// hands every session the engine's pair, so concurrent clients warm
+    /// each other, and `false` builds a fresh pair per session.
     pub shared_cache: bool,
-    /// Capacity (in tables) of the cross-session Y-bound-table store when
-    /// `shared_cache` is on.  Tables are few and heavy (`O(d·|V_G|)`
-    /// floats each), so the default of 16 matches the private per-session
-    /// bound.
+    /// Capacity (in tables) of each Y-bound-table store.  Tables are few
+    /// and heavy (`O(d·|V_G|)` floats each); the default is
+    /// [`DEFAULT_Y_TABLE_CAPACITY`].
     pub y_table_capacity: usize,
 }
 
 /// Default column-cache byte budget: 64 MiB — thousands of columns on the
 /// paper's graphs, a bounded sliver of memory on big ones.
 pub const DEFAULT_CACHE_BYTES: usize = 64 * 1024 * 1024;
-
-/// Default capacity (in tables) of the cross-session Y-bound-table store.
-pub const DEFAULT_Y_TABLE_CAPACITY: usize = 16;
 
 impl EngineConfig {
     /// The paper's experimental defaults (`DHT_λ`, `λ = 0.2`, `ε = 10⁻⁶` →
@@ -172,15 +168,15 @@ impl EngineConfig {
         self
     }
 
-    /// Returns a copy selecting the cross-session shared cache (`true`) or
-    /// fully session-private caches (`false`).
+    /// Returns a copy in which sessions share the engine's stores (`true`)
+    /// or each get fresh ones (`false`).
     pub fn with_shared_cache(mut self, shared: bool) -> Self {
         self.shared_cache = shared;
         self
     }
 
-    /// Returns a copy with a different cross-session Y-bound-table store
-    /// capacity (minimum 1; only meaningful with `shared_cache: true`).
+    /// Returns a copy with a different Y-bound-table store capacity
+    /// (minimum 1).
     pub fn with_y_table_capacity(mut self, capacity: usize) -> Self {
         self.y_table_capacity = capacity.max(1);
         self
@@ -213,8 +209,8 @@ impl EngineOutput {
 }
 
 /// A per-graph query engine: owns the graph, the configuration every
-/// session answers queries with, and (by default) the cross-session
-/// [`SharedColumnCache`] those sessions warm together.
+/// session answers queries with, and (by default) the stores those
+/// sessions warm together.
 ///
 /// The engine is immutable and `Sync` — share `&Engine` across threads
 /// freely; all per-client mutable walk state lives in the [`Session`]s it
@@ -223,9 +219,24 @@ impl EngineOutput {
 pub struct Engine {
     graph: Graph,
     config: EngineConfig,
-    shared: Option<Arc<SharedColumnCache>>,
-    shared_y: Option<Arc<SharedYTableStore>>,
+    /// The stores every session holds, on a caching shared-cache engine.
+    shared: Option<Stores>,
     plan_counters: PlanCounters,
+}
+
+/// A column cache and a Y-table store, the pair a caching session holds.
+type Stores = (Arc<SharedColumnCache>, Arc<SharedYTableStore>);
+
+/// Fresh stores sized by `config`, or none when `cache_bytes` is 0.  The
+/// column cache is striped for `nodes`-score columns, so a budget worth a
+/// handful of them is not slivered into stripes too small to hold one.
+fn new_stores(config: &EngineConfig, nodes: usize) -> Option<Stores> {
+    (config.cache_bytes > 0).then(|| {
+        (
+            Arc::new(SharedColumnCache::for_columns(config.cache_bytes, nodes)),
+            Arc::new(SharedYTableStore::with_capacity(config.y_table_capacity)),
+        )
+    })
 }
 
 impl Engine {
@@ -236,25 +247,14 @@ impl Engine {
 
     /// Builds an engine with an explicit configuration.
     pub fn with_config(graph: Graph, config: EngineConfig) -> Self {
-        // Stripe the shared cache for this graph's column size, so even a
-        // budget worth only a handful of |V_G| columns stays usable
-        // instead of being slivered into shards too small to hold one.
-        let shared = (config.shared_cache && config.cache_bytes > 0).then(|| {
-            Arc::new(SharedColumnCache::for_columns(
-                config.cache_bytes,
-                graph.node_count(),
-            ))
-        });
-        // Y-bound tables ride along with the column cache: shared-cache
-        // engines share both, private-cache engines share neither.
-        let shared_y = shared
-            .is_some()
-            .then(|| Arc::new(SharedYTableStore::with_capacity(config.y_table_capacity)));
+        let shared = config
+            .shared_cache
+            .then(|| new_stores(&config, graph.node_count()))
+            .flatten();
         Engine {
             graph,
             config,
             shared,
-            shared_y,
             plan_counters: PlanCounters::default(),
         }
     }
@@ -277,25 +277,24 @@ impl Engine {
 
     /// The cross-session column cache, when the engine runs with one.
     pub fn shared_cache(&self) -> Option<&Arc<SharedColumnCache>> {
-        self.shared.as_ref()
+        self.shared.as_ref().map(|(columns, _)| columns)
     }
 
     /// Cumulative counters of the cross-session cache (all sessions
     /// combined), when the engine runs with one.
     pub fn shared_cache_stats(&self) -> Option<CacheStats> {
-        self.shared.as_ref().map(|cache| cache.stats())
+        self.shared_cache().map(|cache| cache.stats())
     }
 
-    /// The cross-session Y-bound-table store, when the engine runs with
-    /// one (shared-cache engines only).
+    /// The cross-session Y-bound-table store, when the engine runs with one.
     pub fn shared_y_tables(&self) -> Option<&Arc<SharedYTableStore>> {
-        self.shared_y.as_ref()
+        self.shared.as_ref().map(|(_, y_tables)| y_tables)
     }
 
     /// Cumulative `(hits, misses)` of the cross-session Y-table store (all
     /// sessions combined), when the engine runs with one.
     pub fn shared_y_table_stats(&self) -> Option<(u64, u64)> {
-        self.shared_y.as_ref().map(|store| store.stats())
+        self.shared_y_tables().map(|store| store.stats())
     }
 
     /// The two-way join configuration sessions run with.
@@ -312,17 +311,19 @@ impl Engine {
             .with_threads(self.config.threads)
     }
 
-    /// Opens a fresh session: its context reads and writes the engine's
-    /// shared cache (when enabled), so it starts as warm as the engine is;
-    /// with `shared_cache: false` it starts cold with a private cache.
+    /// Opens a fresh session: with `shared_cache` on it holds the engine's
+    /// stores, so it starts as warm as the engine is; with it off it holds
+    /// fresh stores of the same sizes and starts cold.
     pub fn session(&self) -> Session<'_> {
-        let mut ctx = match &self.shared {
-            Some(cache) => QueryCtx::shared(cache.clone()),
-            None => QueryCtx::with_byte_budget(self.config.cache_bytes),
+        let stores = if self.config.shared_cache {
+            self.shared.clone()
+        } else {
+            new_stores(&self.config, self.graph.node_count())
         };
-        if let Some(store) = &self.shared_y {
-            ctx = ctx.with_shared_y_tables(store.clone());
-        }
+        let ctx = match stores {
+            Some((columns, y_tables)) => QueryCtx::shared(columns, y_tables),
+            None => QueryCtx::one_shot(),
+        };
         Session { engine: self, ctx }
     }
 
@@ -517,8 +518,8 @@ impl GraphRegistry {
 }
 
 /// A query session against one [`Engine`]: owns the per-client walk state
-/// (scratch pool, Y-bound tables and either a handle to the engine's
-/// shared column cache or a private one) and answers queries through it.
+/// (a scratch pool and, unless caching is off, a column cache and a Y-table
+/// store — the engine's, or its own) and answers queries through it.
 ///
 /// Sessions are cheap to create and single-threaded by design — one per
 /// concurrent client; queries *within* a session still fan out over
@@ -717,11 +718,10 @@ impl Session<'_> {
         Ok(output)
     }
 
-    /// Cumulative backward-column cache counters **as seen by this
-    /// session**: on a shared-cache engine these count this session's
-    /// lookups (evictions are engine-global — see
-    /// [`Engine::shared_cache_stats`]); on a private-cache engine they are
-    /// the private cache's own counters.
+    /// Backward-column cache hits and misses of **this session's**
+    /// lookups, on any engine.  Evictions belong to the store, not to one
+    /// session, and read 0 here; a shared-cache engine reports its store's
+    /// in [`Engine::shared_cache_stats`].
     pub fn cache_stats(&self) -> CacheStats {
         self.ctx.column_stats()
     }
@@ -731,9 +731,9 @@ impl Session<'_> {
         self.ctx.y_table_stats()
     }
 
-    /// Drops the cached columns and tables this session can reach
-    /// (allocations and counters are kept).  On a shared-cache engine this
-    /// clears the **engine-wide** cache: every session sees the drop.
+    /// Drops the cached columns and tables from this session's stores
+    /// (counters are kept).  On a shared-cache engine this clears the
+    /// **engine-wide** stores: every session sees the drop.
     pub fn clear_cache(&mut self) {
         self.ctx.clear();
     }
@@ -1204,8 +1204,8 @@ mod tests {
         });
         assert_eq!(engine.shared_y_table_stats(), Some((3, 1)));
 
-        // A private-cache engine keeps Y tables session-private: the second
-        // session rebuilds (answers still identical).
+        // A private-cache engine gives each session its own Y-table store:
+        // the second session rebuilds (answers still identical).
         let private = Engine::with_config(
             graph,
             EngineConfig::paper_default().with_shared_cache(false),
@@ -1218,6 +1218,25 @@ mod tests {
         let again = second.two_way(TwoWayAlgorithm::BackwardIdjY, &sets[0], &sets[1], 4);
         assert_eq!(again.pairs, first.pairs);
         assert_eq!(second.y_table_stats(), (0, 1), "private sessions rebuild");
+    }
+
+    #[test]
+    fn every_session_honours_the_y_table_capacity() {
+        let graph = dht_graph::generators::barabasi_albert(2_000, 3, 7);
+        let set = |name: &str, ids: std::ops::Range<u32>| NodeSet::new(name, ids.map(NodeId));
+        let (p1, p2, q) = (set("P1", 0..8), set("P2", 100..108), set("Q", 1_990..1_998));
+        for shared in [true, false] {
+            let config = EngineConfig::paper_default()
+                .with_shared_cache(shared)
+                .with_y_table_capacity(1);
+            let engine = Engine::with_config(graph.clone(), config);
+            let mut session = engine.session();
+            for p in [&p1, &p2, &p1] {
+                session.two_way(TwoWayAlgorithm::BackwardIdjY, p, &q, 5);
+            }
+            // One table fits: P2 evicts P1, so the second P1 rebuilds.
+            assert_eq!(session.y_table_stats(), (0, 3), "shared_cache={shared}");
+        }
     }
 
     #[test]

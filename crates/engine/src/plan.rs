@@ -219,8 +219,7 @@ mod tests {
 
     /// A session-shaped context: shared column cache and shared Y tables.
     fn session_ctx(store: &Arc<SharedYTableStore>) -> QueryCtx {
-        QueryCtx::shared(Arc::new(SharedColumnCache::new(1 << 20)))
-            .with_shared_y_tables(store.clone())
+        QueryCtx::shared(Arc::new(SharedColumnCache::new(1 << 20)), store.clone())
     }
 
     fn plan_in(ctx: &QueryCtx, graph: &Graph, spec: &QuerySpec) -> QueryPlan {

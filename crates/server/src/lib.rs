@@ -1013,9 +1013,9 @@ fn slow_line(
     let plan = plan.map_or_else(|| "none".to_string(), QueryPlan::to_string);
     format!(
         "SLOW {who} latency_ms={total_ms:.3} budget_ms={budget_ms} plan `{plan}` \
-         columns[hits={} misses={} evictions={}] y_tables[hits={y_hits} misses={y_misses}]\n  \
+         columns[hits={} misses={}] y_tables[hits={y_hits} misses={y_misses}]\n  \
          {comment}",
-        columns.hits, columns.misses, columns.evictions,
+        columns.hits, columns.misses,
     )
 }
 

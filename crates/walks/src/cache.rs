@@ -8,23 +8,23 @@
 //! users against one graph) recomputes identical columns over and over.
 //! This module caches them:
 //!
-//! * [`ColumnCache`] — a byte-budgeted LRU of score columns keyed by
-//!   `(signature, target)`, where the signature folds in everything else
-//!   that determines the column (DHT parameters, walk depth, engine — see
-//!   [`dht_column_sig`] — or an arbitrary measure signature for the generic
-//!   joins of `dht-measures`).  A hit turns an `O(l·|E_G|)` walk into a
-//!   shared-pointer clone.  Capacity is accounted in **bytes**
-//!   ([`column_bytes`]), not entries, so dense columns on large graphs
-//!   cannot blow past a configured memory budget.
-//! * [`SharedColumnCache`] — the cross-session variant: a lock-striped set
-//!   of [`ColumnCache`] shards behind `Mutex`es, safe to share (via `Arc`)
-//!   between any number of concurrent sessions over one graph.  Sessions
-//!   warm each other: the first one to compute a column pays for it, every
-//!   later one clones the pointer.
+//! * [`SharedColumnCache`] — score columns keyed by `(signature, target)`,
+//!   where the signature folds in everything else that determines the
+//!   column (DHT parameters, walk depth, engine — see [`dht_column_sig`] —
+//!   or an arbitrary measure signature for the generic joins of
+//!   `dht-measures`).  A hit turns an `O(l·|E_G|)` walk into a
+//!   shared-pointer clone.  The key space is split over lock stripes, each
+//!   a byte-budgeted LRU behind a `Mutex`; capacity is accounted in
+//!   **bytes** ([`column_bytes`]), not entries, so dense columns on large
+//!   graphs cannot blow past a configured memory budget.
+//! * [`SharedYTableStore`] — the few, heavy [`YBoundTable`]s keyed by
+//!   `(params, d, engine, P)`, read-mostly behind an `RwLock`.
 //! * [`QueryCtx`] — the per-session bundle the join algorithms take
-//!   `&mut` internally: a [`ScratchPool`] of walk buffers, a column store
-//!   (private [`ColumnCache`] or a handle to a [`SharedColumnCache`]), and
-//!   lazily built [`YBoundTable`]s keyed by `(params, d, engine, P)`.
+//!   `&mut` internally: a [`ScratchPool`] of walk buffers and, unless
+//!   caching is off, an `Arc` of each store.  A private session is one
+//!   whose stores no other context holds; sessions of a shared-cache
+//!   engine hold the same ones and warm each other: the first one to
+//!   compute a column pays for it, every later one clones the pointer.
 //!
 //! Columns are deterministic functions of their key (every walk engine is
 //! input-deterministic), so replaying a cached column is bit-identical to
@@ -132,18 +132,17 @@ struct CacheSlot {
     column: Arc<[f64]>,
 }
 
-/// A byte-budgeted LRU cache of score columns keyed by `(signature, target)`.
+/// One stripe of a [`SharedColumnCache`]: a byte-budgeted LRU of score
+/// columns keyed by `(signature, target)`.
 ///
 /// Capacity is accounted in bytes ([`column_bytes`] per entry), so the
 /// memory held by the cache is bounded regardless of graph size — a dense
 /// column on a 10M-node graph costs what it costs, not "one slot".
 /// Eviction is strict LRU via touch stamps with a lazily compacted queue:
 /// `get` and `insert` are `O(1)` amortised.  A budget of `0` disables the
-/// cache entirely (every lookup misses, nothing is stored) — that is what
-/// the one-shot join wrappers use, so their behaviour and allocation profile
-/// match the pre-session code paths.
+/// stripe entirely (every lookup misses, nothing is stored).
 #[derive(Debug, Default)]
-pub struct ColumnCache {
+struct ColumnCache {
     byte_budget: usize,
     bytes_used: usize,
     slots: HashMap<(u64, u32), CacheSlot, MixBuildHasher>,
@@ -156,46 +155,25 @@ pub struct ColumnCache {
 
 impl ColumnCache {
     /// A cache holding at most `byte_budget` accounted bytes of columns.
-    pub fn with_byte_budget(byte_budget: usize) -> Self {
+    fn with_byte_budget(byte_budget: usize) -> Self {
         ColumnCache {
             byte_budget,
             ..ColumnCache::default()
         }
     }
 
-    /// A disabled cache (budget 0): every lookup misses, inserts are
-    /// dropped.
-    pub fn disabled() -> Self {
-        ColumnCache::with_byte_budget(0)
-    }
-
-    /// The configured capacity in bytes.
-    pub fn byte_budget(&self) -> usize {
-        self.byte_budget
-    }
-
     /// Accounted bytes currently held.
-    pub fn bytes_used(&self) -> usize {
+    fn bytes_used(&self) -> usize {
         self.bytes_used
     }
 
-    /// Whether the cache stores anything at all.
-    pub fn is_enabled(&self) -> bool {
-        self.byte_budget > 0
-    }
-
     /// Number of columns currently cached.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.slots.len()
     }
 
-    /// Whether the cache currently holds no columns.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Cumulative hit / miss / eviction counters.
-    pub fn stats(&self) -> CacheStats {
+    fn stats(&self) -> CacheStats {
         self.stats
     }
 
@@ -204,13 +182,13 @@ impl ColumnCache {
     /// touching the hit/miss counters.  This is what the planner uses to
     /// ask "would this lookup hit?" before choosing an algorithm: probing
     /// must never change what a later eviction does.
-    pub fn contains(&self, sig: u64, target: u32) -> bool {
+    fn contains(&self, sig: u64, target: u32) -> bool {
         self.byte_budget > 0 && self.slots.contains_key(&(sig, target))
     }
 
     /// Looks up the column for `(sig, target)`, refreshing its LRU position
     /// on a hit.
-    pub fn get(&mut self, sig: u64, target: u32) -> Option<Arc<[f64]>> {
+    fn get(&mut self, sig: u64, target: u32) -> Option<Arc<[f64]>> {
         if self.byte_budget == 0 {
             self.stats.misses += 1;
             return None;
@@ -236,7 +214,7 @@ impl ColumnCache {
     /// Inserts (or refreshes) the column for `(sig, target)`, evicting least
     /// recently used entries until the byte budget holds again.  A column
     /// whose own accounted size exceeds the whole budget is not retained.
-    pub fn insert(&mut self, sig: u64, target: u32, column: Arc<[f64]>) {
+    fn insert(&mut self, sig: u64, target: u32, column: Arc<[f64]>) {
         if self.byte_budget == 0 {
             return;
         }
@@ -263,7 +241,7 @@ impl ColumnCache {
     }
 
     /// Drops everything (counters are kept).
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.slots.clear();
         self.order.clear();
         self.bytes_used = 0;
@@ -306,17 +284,19 @@ const DEFAULT_SHARDS: usize = 16;
 /// useless slivers.
 const MIN_SHARD_BYTES: usize = 16 * 1024;
 
-/// A thread-safe, lock-striped column cache shared by every session of one
-/// graph's engine.
+/// A thread-safe, lock-striped column cache: the one column store of every
+/// caching [`QueryCtx`], shared by every session of one graph's engine or
+/// held by one private session alone.
 ///
-/// The key space is split over power-of-two many [`ColumnCache`] shards,
+/// The key space is split over power-of-two many byte-budgeted LRU shards,
 /// each behind its own `Mutex`, so concurrent sessions contend only when
 /// they touch the same stripe.  Each shard runs an independent byte-budget
 /// LRU over its slice of the total budget — eviction never needs a global
-/// lock.  Because every cached column is a pure function of its key,
-/// concurrent sessions may race to compute the same column; whoever inserts
-/// last wins, and both results are bit-identical, so answers never depend on
-/// the interleaving.
+/// lock, and a one-stripe cache is strict LRU over its whole budget.
+/// Because every cached column is a pure function of its key, concurrent
+/// sessions may race to compute the same column; whoever inserts last wins,
+/// and both results are bit-identical, so answers never depend on the
+/// interleaving.
 #[derive(Debug)]
 pub struct SharedColumnCache {
     shards: Box<[Mutex<ColumnCache>]>,
@@ -388,9 +368,8 @@ impl SharedColumnCache {
     }
 
     /// Residency probe: whether the column for `(sig, target)` is currently
-    /// cached in its stripe — no LRU touch, no clone, no counter update
-    /// (see [`ColumnCache::contains`]).  The stripe lock is held only for
-    /// the map lookup.
+    /// cached in its stripe — no LRU touch, no clone, no counter update.
+    /// The stripe lock is held only for the map lookup.
     pub fn contains(&self, sig: u64, target: u32) -> bool {
         self.shard(sig, target)
             .lock()
@@ -453,8 +432,9 @@ impl SharedColumnCache {
     }
 }
 
-/// A cross-session store of `Y_l⁺` bound tables, shared (via `Arc`) by
-/// every session of one graph's engine.
+/// A store of `Y_l⁺` bound tables: the one Y-table store of every caching
+/// [`QueryCtx`], shared (via `Arc`) by every session of one graph's engine
+/// or held by one private session alone.
 ///
 /// Y-bound tables are the opposite shape from backward columns: **few and
 /// heavy** (each is `O(d·|V_G|)` floats, and a service answers most
@@ -495,10 +475,9 @@ impl Default for SharedYTableStore {
 }
 
 impl SharedYTableStore {
-    /// A store holding up to 16 tables (the same bound a private
-    /// session's `Y_TABLE_CAPACITY` applies).
+    /// A store holding up to [`DEFAULT_Y_TABLE_CAPACITY`] tables.
     pub fn new() -> Self {
-        SharedYTableStore::with_capacity(Y_TABLE_CAPACITY)
+        SharedYTableStore::with_capacity(DEFAULT_Y_TABLE_CAPACITY)
     }
 
     /// A store holding up to `capacity` tables (minimum 1).
@@ -583,104 +562,42 @@ impl SharedYTableStore {
     }
 }
 
-/// The column store behind a [`QueryCtx`]: either a session-private
-/// [`ColumnCache`] or a handle to a cross-session [`SharedColumnCache`].
-#[derive(Debug)]
-enum ColumnStore {
-    Private(ColumnCache),
-    Shared {
-        cache: Arc<SharedColumnCache>,
-        /// This session's own hit/miss view (the shared counters aggregate
-        /// every session).
-        local: CacheStats,
-    },
+/// The two stores a caching [`QueryCtx`] reads and writes.  Every holder
+/// of the same `Arc`s shares what they hold: the sessions of a shared-cache
+/// engine, and every fork of a context.
+#[derive(Debug, Clone)]
+struct Stores {
+    columns: Arc<SharedColumnCache>,
+    y_tables: Arc<SharedYTableStore>,
 }
 
-impl Default for ColumnStore {
-    fn default() -> Self {
-        ColumnStore::Private(ColumnCache::default())
-    }
-}
-
-impl ColumnStore {
-    fn get(&mut self, sig: u64, target: u32) -> Option<Arc<[f64]>> {
-        match self {
-            ColumnStore::Private(cache) => cache.get(sig, target),
-            ColumnStore::Shared { cache, local } => {
-                let column = cache.get(sig, target);
-                if column.is_some() {
-                    local.hits += 1;
-                } else {
-                    local.misses += 1;
-                }
-                column
-            }
-        }
-    }
-
-    fn insert(&mut self, sig: u64, target: u32, column: Arc<[f64]>) {
-        match self {
-            ColumnStore::Private(cache) => cache.insert(sig, target, column),
-            ColumnStore::Shared { cache, .. } => cache.insert(sig, target, column),
-        }
-    }
-
-    fn contains(&self, sig: u64, target: u32) -> bool {
-        match self {
-            ColumnStore::Private(cache) => cache.contains(sig, target),
-            ColumnStore::Shared { cache, .. } => cache.contains(sig, target),
-        }
-    }
-
-    fn is_enabled(&self) -> bool {
-        match self {
-            ColumnStore::Private(cache) => cache.is_enabled(),
-            ColumnStore::Shared { cache, .. } => cache.is_enabled(),
-        }
-    }
-
-    fn stats(&self) -> CacheStats {
-        match self {
-            ColumnStore::Private(cache) => cache.stats(),
-            ColumnStore::Shared { local, .. } => *local,
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            ColumnStore::Private(cache) => cache.clear(),
-            ColumnStore::Shared { cache, .. } => cache.clear(),
-        }
-    }
+/// The stores of a context that caches at all: present, with a nonzero
+/// column budget.
+fn caching(stores: &Option<Stores>) -> Option<&Stores> {
+    stores.as_ref().filter(|stores| stores.columns.is_enabled())
 }
 
 /// Per-session query state threaded through every join layer: pooled walk
-/// scratches, the backward-column store and lazily built Y-bound tables.
+/// scratches, a backward-column store and a Y-bound-table store.
 ///
 /// A context built with [`QueryCtx::one_shot`] (what the free-function join
-/// wrappers use) disables the caches, reproducing the stateless behaviour;
-/// a context built with [`QueryCtx::with_byte_budget`] keeps columns and
-/// Y-tables warm across queries on a session-private cache; a context built
-/// with [`QueryCtx::shared`] reads and writes a cross-session
-/// [`SharedColumnCache`], so concurrent sessions over the same graph warm
-/// each other.  Answers are bit-identical in every mode.
+/// wrappers use) holds no store, reproducing the stateless behaviour.  Every
+/// other context holds an `Arc<`[`SharedColumnCache`]`>` and an
+/// `Arc<`[`SharedYTableStore`]`>`: [`QueryCtx::with_byte_budget`] builds
+/// fresh ones that no other context holds (a private cache), and
+/// [`QueryCtx::shared`] takes stores that other contexts hold too, so
+/// concurrent sessions over the same graph warm each other.  Answers are
+/// bit-identical in every mode.
 #[derive(Debug, Default)]
 pub struct QueryCtx {
     /// Pool of reusable walk scratches shared by the worker threads of the
     /// joins running through this context.
     pub pool: ScratchPool,
-    columns: ColumnStore,
-    /// Session-private cached Y-bound tables with their LRU touch stamps;
-    /// bounded by [`Y_TABLE_CAPACITY`] so long-lived sessions answering
-    /// B-IDJ-Y queries over many distinct `P` sets cannot grow without
-    /// limit.  Unused when [`QueryCtx::shared_y`] is set.
-    y_tables: HashMap<(u64, u64), (u64, Arc<YBoundTable>)>,
-    /// Cross-session Y-bound-table store, when this context belongs to a
-    /// shared-cache engine.  Read-mostly ([`SharedYTableStore`]): hits take
-    /// a read lock, builds happen outside any lock, so concurrent B-IDJ-Y
-    /// sessions do not serialise on it.
-    shared_y: Option<Arc<SharedYTableStore>>,
-    y_tick: u64,
+    /// The column and Y-table stores; `None` when caching is off.
+    stores: Option<Stores>,
+    /// This context's own column hits and misses (the store's counters
+    /// aggregate every context holding it).
+    column_stats: CacheStats,
     y_hits: u64,
     y_misses: u64,
     /// Per-query trace spans ([`dht_obs::Trace`]): disabled by default, so
@@ -690,92 +607,68 @@ pub struct QueryCtx {
     trace: dht_obs::Trace,
 }
 
-/// Maximum number of Y-bound tables a context keeps (each is
-/// `O(d·|V_G|)` floats — far heavier than a column, hence the small fixed
-/// bound with LRU eviction).
-const Y_TABLE_CAPACITY: usize = 16;
+/// Default capacity (in tables) of a [`SharedYTableStore`]: each table is
+/// `O(d·|V_G|)` floats — far heavier than a column, hence the small bound.
+pub const DEFAULT_Y_TABLE_CAPACITY: usize = 16;
 
 impl QueryCtx {
-    /// A context with a session-private column cache of up to `byte_budget`
-    /// accounted bytes.
+    /// A context with a column cache of up to `byte_budget` accounted
+    /// bytes and a Y-table store of [`DEFAULT_Y_TABLE_CAPACITY`] tables,
+    /// both its own.  The column cache is one stripe, so it evicts in
+    /// strict LRU order over the whole budget.
     pub fn with_byte_budget(byte_budget: usize) -> Self {
-        QueryCtx {
-            columns: ColumnStore::Private(ColumnCache::with_byte_budget(byte_budget)),
-            ..QueryCtx::default()
-        }
+        QueryCtx::shared(
+            Arc::new(SharedColumnCache::with_shards(byte_budget, 1)),
+            Arc::new(SharedYTableStore::new()),
+        )
     }
 
     /// A context with all caching disabled — the free-function join
     /// wrappers use this, so a one-shot call behaves exactly like the
-    /// stateless implementation it replaced.
+    /// stateless implementation it replaced.  It holds no store and
+    /// allocates nothing.
     pub fn one_shot() -> Self {
-        QueryCtx::with_byte_budget(0)
+        QueryCtx::default()
     }
 
-    /// A context whose columns are read from and written to a
-    /// cross-session [`SharedColumnCache`] — what `dht-engine` sessions use
-    /// so concurrent clients warm each other.
-    pub fn shared(cache: Arc<SharedColumnCache>) -> Self {
+    /// A context reading and writing `columns` and `y_tables`, which other
+    /// contexts may hold too — what `dht-engine` sessions use so
+    /// concurrent clients warm each other.
+    pub fn shared(columns: Arc<SharedColumnCache>, y_tables: Arc<SharedYTableStore>) -> Self {
         QueryCtx {
-            columns: ColumnStore::Shared {
-                cache,
-                local: CacheStats::default(),
-            },
+            stores: Some(Stores { columns, y_tables }),
             ..QueryCtx::default()
         }
     }
 
-    /// Attaches a cross-session [`SharedYTableStore`]: Y-bound tables are
-    /// then read from and written to the shared store instead of the
-    /// session-private map, so concurrent B-IDJ-Y sessions over one graph
-    /// warm each other.  What `dht-engine` sets on every session of a
-    /// shared-cache engine.
-    pub fn with_shared_y_tables(mut self, store: Arc<SharedYTableStore>) -> Self {
-        self.shared_y = Some(store);
-        self
-    }
-
-    /// The cross-session Y-table store behind this context, when set.
-    pub fn shared_y_store(&self) -> Option<&Arc<SharedYTableStore>> {
-        self.shared_y.as_ref()
-    }
-
-    /// A fresh context for a helper worker of this session: shares the
-    /// [`SharedColumnCache`] (and the [`SharedYTableStore`], when present)
-    /// when this context has one, and is a plain one-shot context otherwise
-    /// (a private cache cannot be split across threads).  AP's concurrent
-    /// per-edge path forks one context per worker, so even its
-    /// scoped-thread stage reads and fills the cross-session caches.
+    /// A fresh context for a helper worker of this session, holding this
+    /// context's stores (none for a one-shot context).  AP's concurrent
+    /// per-edge path forks one context per worker.
     pub fn fork(&self) -> QueryCtx {
-        match &self.columns {
-            ColumnStore::Shared { cache, .. } => {
-                let ctx = QueryCtx::shared(cache.clone());
-                match &self.shared_y {
-                    Some(store) => ctx.with_shared_y_tables(store.clone()),
-                    None => ctx,
-                }
-            }
-            ColumnStore::Private(_) => QueryCtx::one_shot(),
+        QueryCtx {
+            stores: self.stores.clone(),
+            ..QueryCtx::default()
         }
     }
 
-    /// The cross-session cache behind this context, when it has one.
+    /// The column cache behind this context, when it has one.
     pub fn shared_cache(&self) -> Option<&Arc<SharedColumnCache>> {
-        match &self.columns {
-            ColumnStore::Shared { cache, .. } => Some(cache),
-            ColumnStore::Private(_) => None,
-        }
+        self.stores.as_ref().map(|stores| &stores.columns)
     }
 
-    /// Cumulative column-cache counters **as seen by this context**: for a
-    /// private store these are the cache's own counters; for a shared store
-    /// they count this session's lookups only (evictions are global and
-    /// reported by [`SharedColumnCache::stats`]).
+    /// The Y-table store behind this context, when it has one.
+    pub fn shared_y_store(&self) -> Option<&Arc<SharedYTableStore>> {
+        self.stores.as_ref().map(|stores| &stores.y_tables)
+    }
+
+    /// Cumulative column-cache hits and misses of **this context's**
+    /// lookups.  Evictions belong to the store, not to one of its holders:
+    /// [`SharedColumnCache::stats`] reports them.
     pub fn column_stats(&self) -> CacheStats {
-        self.columns.stats()
+        self.column_stats
     }
 
-    /// `(hits, misses)` of the Y-bound-table cache.
+    /// `(hits, misses)` of this context's Y-bound-table lookups.
     pub fn y_table_stats(&self) -> (u64, u64) {
         (self.y_hits, self.y_misses)
     }
@@ -790,14 +683,13 @@ impl QueryCtx {
         &mut self.trace
     }
 
-    /// Drops all cached columns and tables, keeping allocations and
-    /// counters.  On a shared store this clears the **cross-session** cache
-    /// (every session of the engine sees the drop).
+    /// Drops every cached column and table from this context's stores,
+    /// keeping counters.  Every context holding the same stores sees the
+    /// drop.
     pub fn clear(&mut self) {
-        self.columns.clear();
-        self.y_tables.clear();
-        if let Some(store) = &self.shared_y {
-            store.clear();
+        if let Some(stores) = &self.stores {
+            stores.columns.clear();
+            stores.y_tables.clear();
         }
     }
 
@@ -816,7 +708,9 @@ impl QueryCtx {
         engine: WalkEngine,
     ) -> bool {
         let sig = graph_scoped_sig(graph, dht_column_sig(params, d, engine));
-        self.columns.contains(sig, target.0)
+        self.stores
+            .as_ref()
+            .is_some_and(|stores| stores.columns.contains(sig, target.0))
     }
 
     /// The truncated backward DHT column `h_d(·, target)` for every source,
@@ -830,16 +724,21 @@ impl QueryCtx {
         engine: WalkEngine,
     ) -> Arc<[f64]> {
         let sig = graph_scoped_sig(graph, dht_column_sig(params, d, engine));
-        if let Some(column) = self.columns.get(sig, target.0) {
+        let columns = self.stores.as_ref().map(|stores| &stores.columns);
+        if let Some(column) = columns.and_then(|columns| columns.get(sig, target.0)) {
+            self.column_stats.hits += 1;
             self.trace.event(dht_obs::Phase::ColumnHit);
             return column;
         }
+        self.column_stats.misses += 1;
         let started = self.trace.begin();
         let mut scratch = self.pool.acquire();
         let mut scores = Vec::new();
         backward_dht_into(graph, params, target, d, engine, &mut scratch, &mut scores);
         let column: Arc<[f64]> = scores.into();
-        self.columns.insert(sig, target.0, column.clone());
+        if let Some(columns) = columns {
+            columns.insert(sig, target.0, column.clone());
+        }
         self.trace.finish(started, dht_obs::Phase::ColumnBuild);
         column
     }
@@ -899,7 +798,7 @@ impl QueryCtx {
         mut consume: impl FnMut(NodeId, &[f64]),
     ) {
         let pool = &self.pool;
-        let Some(sig) = sig.filter(|_| self.columns.is_enabled()) else {
+        let Some((sig, stores)) = sig.zip(caching(&self.stores)) else {
             // Uncached fast path: identical to the pre-session streamer.
             let started = self.trace.begin();
             dht_par::stream_map_ordered(
@@ -912,6 +811,7 @@ impl QueryCtx {
             self.trace.finish(started, dht_obs::Phase::ColumnBuild);
             return;
         };
+        let columns = &stores.columns;
         let sig = graph_scoped_sig(graph, sig);
         /// Chunk length per parallel round, in items per worker (matches
         /// `dht_par::stream_map_ordered`).
@@ -921,14 +821,17 @@ impl QueryCtx {
         let mut slots: Vec<Option<Arc<[f64]>>> = Vec::with_capacity(chunk_len.min(targets.len()));
         for chunk in targets.chunks(chunk_len) {
             slots.clear();
-            slots.extend(chunk.iter().map(|&t| self.columns.get(sig, t.0)));
+            slots.extend(chunk.iter().map(|&t| columns.get(sig, t.0)));
             let missing: Vec<(usize, NodeId)> = slots
                 .iter()
                 .enumerate()
                 .filter(|(_, slot)| slot.is_none())
                 .map(|(i, _)| (i, chunk[i]))
                 .collect();
-            for _ in 0..chunk.len() - missing.len() {
+            let hits = chunk.len() - missing.len();
+            self.column_stats.hits += hits as u64;
+            self.column_stats.misses += missing.len() as u64;
+            for _ in 0..hits {
                 self.trace.event(dht_obs::Phase::ColumnHit);
             }
             // A fully resident chunk takes no scratch and starts no build.
@@ -945,7 +848,7 @@ impl QueryCtx {
                 );
                 self.trace.finish(started, dht_obs::Phase::ColumnBuild);
                 for (&(slot_index, target), column) in missing.iter().zip(computed) {
-                    self.columns.insert(sig, target.0, column.clone());
+                    columns.insert(sig, target.0, column.clone());
                     slots[slot_index] = Some(column);
                 }
             }
@@ -974,26 +877,16 @@ impl QueryCtx {
             graph_scoped_sig(graph, dht_column_sig(params, d, engine)),
             p.signature(),
         );
-        let caching = self.columns.is_enabled();
-        if caching {
-            if let Some(store) = &self.shared_y {
-                if let Some(table) = store.get(key) {
-                    self.y_hits += 1;
-                    self.trace.event(dht_obs::Phase::YHit);
-                    return table;
-                }
-            } else if let Some((stamp, table)) = self.y_tables.get_mut(&key) {
-                self.y_tick += 1;
-                *stamp = self.y_tick;
-                self.y_hits += 1;
-                self.trace.event(dht_obs::Phase::YHit);
-                return table.clone();
-            }
+        let store = caching(&self.stores).map(|stores| &stores.y_tables);
+        if let Some(table) = store.and_then(|store| store.get(key)) {
+            self.y_hits += 1;
+            self.trace.event(dht_obs::Phase::YHit);
+            return table;
         }
         self.y_misses += 1;
         let span_started = self.trace.begin();
-        // Built outside any lock: on the shared store, racing sessions may
-        // each build the (bit-identical) table, but none blocks another.
+        // Built outside any lock: racing holders of one store may each
+        // build the (bit-identical) table, but none blocks another.
         let mut scratch = self.pool.acquire();
         let table = Arc::new(YBoundTable::new_with(
             graph,
@@ -1004,25 +897,8 @@ impl QueryCtx {
             threads,
             &mut scratch,
         ));
-        if caching {
-            if let Some(store) = &self.shared_y {
-                store.insert(key, table.clone());
-            } else {
-                self.y_tick += 1;
-                self.y_tables.insert(key, (self.y_tick, table.clone()));
-                if self.y_tables.len() > Y_TABLE_CAPACITY {
-                    // Tiny map (≤ 17 entries): a linear scan for the oldest
-                    // stamp is cheaper than any auxiliary structure.
-                    if let Some(&oldest) = self
-                        .y_tables
-                        .iter()
-                        .min_by_key(|(_, &(stamp, _))| stamp)
-                        .map(|(key, _)| key)
-                    {
-                        self.y_tables.remove(&oldest);
-                    }
-                }
-            }
+        if let Some(store) = store {
+            store.insert(key, table.clone());
         }
         self.trace.finish(span_started, dht_obs::Phase::YBuild);
         table
@@ -1114,7 +990,7 @@ mod tests {
         assert!(cache.contains(1, 30));
         assert_eq!(cache.stats().evictions, 1);
         // A disabled cache reports nothing resident.
-        let disabled = ColumnCache::disabled();
+        let disabled = ColumnCache::with_byte_budget(0);
         assert!(!disabled.contains(1, 20));
     }
 
@@ -1154,8 +1030,7 @@ mod tests {
 
         // Y tables are keyed by `P`: the same set hits the store, another
         // one builds a second table.
-        let store = Arc::new(SharedYTableStore::new());
-        let mut ctx = ctx.with_shared_y_tables(store.clone());
+        let store = ctx.shared_y_store().expect("a caching context").clone();
         let p = NodeSet::new("P", [NodeId(0), NodeId(1)]);
         ctx.y_bound_table(&g, &params, &p, 6, WalkEngine::Sparse, 1);
         assert_eq!((store.len(), store.stats()), (1, (0, 1)));
@@ -1165,19 +1040,20 @@ mod tests {
         ctx.y_bound_table(&g, &params, &p2, 6, WalkEngine::Sparse, 1);
         assert_eq!((store.len(), store.stats()), (2, (1, 2)));
 
-        // One-shot contexts never report residency nor keep Y tables.
-        let cold_store = Arc::new(SharedYTableStore::new());
-        let mut cold = QueryCtx::one_shot().with_shared_y_tables(cold_store.clone());
+        // One-shot contexts hold no store: they never report residency
+        // nor keep Y tables.
+        let mut cold = QueryCtx::one_shot();
+        assert!(cold.shared_cache().is_none() && cold.shared_y_store().is_none());
         assert!(!cold.backward_column_resident(&g, &params, NodeId(3), 6, WalkEngine::Sparse));
         cold.y_bound_table(&g, &params, &p, 6, WalkEngine::Sparse, 1);
         cold.y_bound_table(&g, &params, &p, 6, WalkEngine::Sparse, 1);
         assert_eq!(cold.y_table_stats(), (0, 2));
-        assert_eq!((cold_store.len(), cold_store.stats()), (0, (0, 0)));
     }
 
     #[test]
     fn byte_accounting_tracks_inserts_replacements_and_evictions() {
-        let mut cache = ColumnCache::with_byte_budget(budget_for(4, 8));
+        let budget = budget_for(4, 8);
+        let mut cache = ColumnCache::with_byte_budget(budget);
         cache.insert(1, 1, vec![0.0; 8].into());
         assert_eq!(cache.bytes_used(), column_bytes(8));
         // Replacing a key swaps its accounted size instead of leaking it.
@@ -1188,21 +1064,21 @@ mod tests {
         cache.insert(1, 2, vec![0.0; 8].into());
         cache.insert(1, 3, vec![0.0; 8].into());
         cache.insert(1, 4, vec![0.0; 16].into());
-        assert!(cache.bytes_used() <= cache.byte_budget());
+        assert!(cache.bytes_used() <= budget);
         assert!(cache.get(1, 4).is_some(), "newest entry survives");
     }
 
     #[test]
     fn dense_columns_cannot_blow_past_the_budget() {
         // Eight columns of 1000 floats into a budget that fits two.
-        let mut cache = ColumnCache::with_byte_budget(budget_for(2, 1000));
+        let budget = budget_for(2, 1000);
+        let mut cache = ColumnCache::with_byte_budget(budget);
         for t in 0..8u32 {
             cache.insert(7, t, vec![f64::from(t); 1000].into());
             assert!(
-                cache.bytes_used() <= cache.byte_budget(),
-                "budget violated after insert {t}: {} > {}",
+                cache.bytes_used() <= budget,
+                "budget violated after insert {t}: {} > {budget}",
                 cache.bytes_used(),
-                cache.byte_budget()
             );
         }
         assert_eq!(cache.len(), 2);
@@ -1212,17 +1088,16 @@ mod tests {
     fn oversized_single_column_is_not_retained() {
         let mut cache = ColumnCache::with_byte_budget(column_bytes(4));
         cache.insert(1, 1, vec![0.0; 64].into());
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         assert_eq!(cache.bytes_used(), 0);
     }
 
     #[test]
     fn disabled_cache_stores_nothing() {
-        let mut cache = ColumnCache::disabled();
+        let mut cache = ColumnCache::with_byte_budget(0);
         cache.insert(1, 1, vec![1.0].into());
         assert!(cache.get(1, 1).is_none());
-        assert!(cache.is_empty());
-        assert!(!cache.is_enabled());
+        assert_eq!(cache.len(), 0);
         assert_eq!(cache.stats().hits, 0);
         assert_eq!(cache.stats().misses, 1);
     }
@@ -1382,10 +1257,11 @@ mod tests {
         let g = ring(16);
         let params = DhtParams::paper_default();
         let shared = Arc::new(SharedColumnCache::new(1 << 20));
-        let mut first = QueryCtx::shared(shared.clone());
+        let y_tables = Arc::new(SharedYTableStore::new());
+        let mut first = QueryCtx::shared(shared.clone(), y_tables.clone());
         let column = first.backward_column(&g, &params, NodeId(3), 8, WalkEngine::Sparse);
         // A different session over the same shared cache hits immediately.
-        let mut second = QueryCtx::shared(shared.clone());
+        let mut second = QueryCtx::shared(shared.clone(), y_tables);
         let again = second.backward_column(&g, &params, NodeId(3), 8, WalkEngine::Sparse);
         assert!(Arc::ptr_eq(&column, &again), "second session must hit");
         assert_eq!(second.column_stats().hits, 1);
@@ -1395,19 +1271,54 @@ mod tests {
     }
 
     #[test]
-    fn fork_shares_the_shared_store_and_isolates_private_ones() {
+    fn fork_shares_its_parents_stores() {
         let shared = Arc::new(SharedColumnCache::new(1 << 20));
-        let ctx = QueryCtx::shared(shared.clone());
+        let ctx = QueryCtx::shared(shared.clone(), Arc::new(SharedYTableStore::new()));
         let fork = ctx.fork();
         assert!(Arc::ptr_eq(
             fork.shared_cache().expect("fork keeps the shared cache"),
             &shared
         ));
-        let private = QueryCtx::with_byte_budget(1 << 20);
-        assert!(private.fork().shared_cache().is_none());
-        assert!(
-            !private.fork().columns.is_enabled(),
-            "fork of private = one-shot"
+        // A private context's fork holds the same stores, so what the fork
+        // computes the parent hits.
+        let g = ring(12);
+        let params = DhtParams::paper_default();
+        let mut private = QueryCtx::with_byte_budget(1 << 20);
+        let mut fork = private.fork();
+        assert!(Arc::ptr_eq(
+            fork.shared_cache().expect("fork of a caching context"),
+            private.shared_cache().expect("a caching context")
+        ));
+        fork.backward_column(&g, &params, NodeId(5), 6, WalkEngine::Sparse);
+        assert!(private.backward_column_resident(&g, &params, NodeId(5), 6, WalkEngine::Sparse));
+        private.backward_column(&g, &params, NodeId(5), 6, WalkEngine::Sparse);
+        assert_eq!(private.column_stats().hits, 1);
+        // A one-shot context forks into another one.
+        assert!(QueryCtx::one_shot().fork().shared_cache().is_none());
+    }
+
+    #[test]
+    fn a_private_context_evicts_its_least_recently_used_column() {
+        let g = ring(12);
+        let params = DhtParams::paper_default();
+        let resident = |ctx: &QueryCtx, t: u32| {
+            ctx.backward_column_resident(&g, &params, NodeId(t), 6, WalkEngine::Sparse)
+        };
+        let mut ctx = QueryCtx::with_byte_budget(budget_for(2, 12));
+        let (a, b, c) = (1u32, 4, 9);
+        for t in [a, b, a, c] {
+            ctx.backward_column(&g, &params, NodeId(t), 6, WalkEngine::Sparse);
+        }
+        assert!(resident(&ctx, a), "A was touched after B");
+        assert!(!resident(&ctx, b), "B was the least recently used");
+        assert!(resident(&ctx, c));
+        assert_eq!(
+            ctx.column_stats(),
+            CacheStats {
+                hits: 1,
+                misses: 3,
+                evictions: 0
+            }
         );
     }
 
@@ -1449,7 +1360,12 @@ mod tests {
             // Private cache sized for ~3 columns of 24 floats: forces
             // eviction, parity must hold anyway.
             || QueryCtx::with_byte_budget(3 * column_bytes(24)),
-            || QueryCtx::shared(Arc::new(SharedColumnCache::new(3 * column_bytes(24)))),
+            || {
+                QueryCtx::shared(
+                    Arc::new(SharedColumnCache::new(3 * column_bytes(24))),
+                    Arc::new(SharedYTableStore::new()),
+                )
+            },
         ];
         for make in pressured {
             for threads in [1usize, 4] {
@@ -1497,11 +1413,12 @@ mod tests {
         let mut ctx = QueryCtx::with_byte_budget(1 << 20);
         // One more distinct P set than the capacity: the oldest entry must
         // be evicted, not accumulated.
-        for i in 0..=Y_TABLE_CAPACITY as u32 {
+        for i in 0..=DEFAULT_Y_TABLE_CAPACITY as u32 {
             let p = NodeSet::new("P", [NodeId(i % 10), NodeId(i / 10 + 2)]);
             ctx.y_bound_table(&g, &params, &p, 4, WalkEngine::Sparse, 1);
         }
-        assert_eq!(ctx.y_tables.len(), Y_TABLE_CAPACITY);
+        let store = ctx.shared_y_store().expect("a caching context");
+        assert_eq!(store.len(), DEFAULT_Y_TABLE_CAPACITY);
         // The first (least recently used) set was evicted: asking for it
         // again misses and rebuilds.
         let first = NodeSet::new("P", [NodeId(0), NodeId(2)]);
@@ -1517,8 +1434,9 @@ mod tests {
         let store = Arc::new(SharedYTableStore::with_capacity(2));
         // Two sessions sharing the store: the second hits what the first
         // built, and the tables agree with a private rebuild bit-for-bit.
-        let mut first = QueryCtx::with_byte_budget(1 << 20).with_shared_y_tables(store.clone());
-        let mut second = QueryCtx::with_byte_budget(1 << 20).with_shared_y_tables(store.clone());
+        let columns = Arc::new(SharedColumnCache::new(1 << 20));
+        let mut first = QueryCtx::shared(columns.clone(), store.clone());
+        let mut second = QueryCtx::shared(columns, store.clone());
         let p = NodeSet::new("P", [NodeId(0), NodeId(1)]);
         let a = first.y_bound_table(&g, &params, &p, 5, WalkEngine::Sparse, 1);
         let b = second.y_bound_table(&g, &params, &p, 5, WalkEngine::Sparse, 1);
@@ -1575,7 +1493,8 @@ mod tests {
                 let params = &params;
                 let references = &references;
                 scope.spawn(move || {
-                    let mut ctx = QueryCtx::with_byte_budget(1 << 20).with_shared_y_tables(store);
+                    let columns = Arc::new(SharedColumnCache::new(1 << 20));
+                    let mut ctx = QueryCtx::shared(columns, store);
                     for round in 0..12u32 {
                         let i = (worker + round) % 3;
                         let p = NodeSet::new("P", [NodeId(i), NodeId(i + 3)]);
@@ -1600,15 +1519,24 @@ mod tests {
     fn forked_contexts_share_the_y_store() {
         let shared = Arc::new(SharedColumnCache::new(1 << 20));
         let store = Arc::new(SharedYTableStore::new());
-        let ctx = QueryCtx::shared(shared).with_shared_y_tables(store.clone());
+        let ctx = QueryCtx::shared(shared, store.clone());
         let fork = ctx.fork();
         assert!(Arc::ptr_eq(
             fork.shared_y_store().expect("fork keeps the y store"),
             &store
         ));
-        // A shared-column context without a Y store forks without one too.
-        let bare = QueryCtx::shared(Arc::new(SharedColumnCache::new(1 << 20)));
-        assert!(bare.fork().shared_y_store().is_none());
+        // A private context's fork shares its Y store too: a table the
+        // fork builds, the parent hits.
+        let g = ring(10);
+        let params = DhtParams::paper_default();
+        let p = NodeSet::new("P", [NodeId(0), NodeId(3)]);
+        let mut private = QueryCtx::with_byte_budget(1 << 20);
+        let built = private
+            .fork()
+            .y_bound_table(&g, &params, &p, 4, WalkEngine::Sparse, 1);
+        let hit = private.y_bound_table(&g, &params, &p, 4, WalkEngine::Sparse, 1);
+        assert!(Arc::ptr_eq(&built, &hit));
+        assert_eq!(private.y_table_stats(), (1, 0));
     }
 
     #[test]

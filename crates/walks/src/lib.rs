@@ -36,11 +36,12 @@
 //!   dense reference engine, the sparse one, and the per-graph calibrated
 //!   `Auto` mode;
 //! * [`cache`] — graph-lifetime query state: the [`QueryCtx`] session
-//!   context with its pooled scratches, byte-budgeted LRU caches of backward
-//!   DHT columns (session-private [`ColumnCache`] or the cross-session,
-//!   lock-striped [`SharedColumnCache`]) and lazily built Y-bound tables,
-//!   which the join layers of `dht-core` / `dht-measures` and the
-//!   `dht-engine` sessions run through.
+//!   context with its pooled scratches and one store of each kind — the
+//!   lock-striped, byte-budgeted [`SharedColumnCache`] of backward DHT
+//!   columns and the [`SharedYTableStore`] of lazily built Y-bound tables,
+//!   held by one private session or shared by many — which the join
+//!   layers of `dht-core` / `dht-measures` and the `dht-engine` sessions
+//!   run through.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -56,7 +57,8 @@ pub mod params;
 pub use backward::BackwardWalk;
 pub use bounds::{x_upper_bound, YBoundTable};
 pub use cache::{
-    column_bytes, CacheStats, ColumnCache, QueryCtx, SharedColumnCache, SharedYTableStore,
+    column_bytes, CacheStats, QueryCtx, SharedColumnCache, SharedYTableStore,
+    DEFAULT_Y_TABLE_CAPACITY,
 };
 pub use forward::AbsorbingWalk;
 pub use frontier::{EdgeValues, ScratchPool, WalkEngine, WalkScratch};

@@ -17,6 +17,10 @@
 //!   every pull and each query edge copied the `Y_l⁺` table; it makes 344
 //!   of 47 224 bytes now.
 //!
+//! Opening a context costs nothing either: a one-shot context (which every
+//! free-function join wrapper builds per call), its fork and a session of a
+//! default (shared-cache) engine each allocate nothing.
+//!
 //! And the operands of a request cost nothing per member: a [`NodeSet`] is
 //! a shared handle, so cloning one allocates nothing, parsing a query line
 //! that names a set allocates the same at `|P|` = 64 and 4 096, and a whole
@@ -26,6 +30,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use dht_nway::core::multiway::{NWayAlgorithm, NWayConfig};
 use dht_nway::core::queryline::{parse_query_file, parse_query_line, ParseOptions};
@@ -108,6 +113,27 @@ fn a_warm_bbj_call_allocates_independently_of_the_size_of_p() {
     // Not merely equal: a handful (target list, chunk slots, the k-entry
     // heap, the sorted output), nothing per pair.
     assert!(counts[0] <= 16, "{counts:?}");
+}
+
+#[test]
+fn opening_a_one_shot_context_or_a_session_allocates_nothing() {
+    let mut ctx = None;
+    assert_eq!(allocations_of(|| ctx = Some(QueryCtx::one_shot())), (0, 0));
+    let ctx = ctx.expect("built");
+    let mut fork = None;
+    assert_eq!(allocations_of(|| fork = Some(ctx.fork())), (0, 0));
+    assert!(fork.expect("forked").shared_cache().is_none());
+
+    let engine = Engine::new(barabasi_albert(200, 3, 7));
+    let mut session = None;
+    assert_eq!(allocations_of(|| session = Some(engine.session())), (0, 0));
+    let mut session = session.expect("opened");
+    assert!(Arc::ptr_eq(
+        session.ctx_mut().shared_cache().expect("a caching session"),
+        engine
+            .shared_cache()
+            .expect("a default engine shares its cache")
+    ));
 }
 
 /// Ceilings of the PJ-i triangle below, `(calls, bytes)`: room for a few

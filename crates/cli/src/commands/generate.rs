@@ -2,6 +2,7 @@
 
 use dht_datasets::{dblp, yeast, youtube, Dataset, Scale};
 
+use super::parse_scale;
 use crate::{setsfile, ArgMap, CliError, Result};
 
 const HELP: &str = "\
@@ -35,17 +36,6 @@ pub fn run(args: &ArgMap) -> Result<String> {
         dataset.summary(),
         dataset.node_sets.len()
     ))
-}
-
-fn parse_scale(name: &str) -> Result<Scale> {
-    match name.to_ascii_lowercase().as_str() {
-        "tiny" => Ok(Scale::Tiny),
-        "bench" => Ok(Scale::Bench),
-        "full" => Ok(Scale::Full),
-        _ => Err(CliError::Parse(format!(
-            "unknown scale '{name}' (expected tiny, bench or full)"
-        ))),
-    }
 }
 
 fn build_dataset(name: &str, scale: Scale) -> Result<Dataset> {

@@ -7,6 +7,7 @@ pub mod loadgen;
 pub mod nway;
 pub mod pack;
 pub mod querystream;
+pub mod repro;
 pub mod route;
 pub mod serve;
 pub mod shardsets;
@@ -16,6 +17,7 @@ pub mod twoway;
 use dht_core::spec::AlgorithmChoice;
 use dht_core::twoway::TwoWayAlgorithm;
 use dht_core::Aggregate;
+use dht_datasets::Scale;
 use dht_graph::Graph;
 use dht_measures::{
     DhtMeasure, KatzIndex, KatzMode, PathSim, PersonalizedPageRank, ProximityMeasure,
@@ -34,6 +36,19 @@ use crate::{CliError, Result};
 pub(crate) fn load_graph(args: &crate::ArgMap) -> Result<Graph> {
     let path = args.require("graph")?;
     dht_graph::io::read_graph_file_auto(path).map_err(CliError::from)
+}
+
+/// Parses a dataset size preset (`--scale` of `generate` and `repro`); an
+/// unknown name is a usage error.
+pub(crate) fn parse_scale(name: &str) -> Result<Scale> {
+    match name.to_ascii_lowercase().as_str() {
+        "tiny" => Ok(Scale::Tiny),
+        "bench" => Ok(Scale::Bench),
+        "full" => Ok(Scale::Full),
+        _ => Err(CliError::Usage(format!(
+            "unknown scale '{name}' (expected tiny, bench or full)"
+        ))),
+    }
 }
 
 /// Parses the shared DHT options `--variant`, `--lambda` and `--epsilon`

@@ -22,6 +22,17 @@ pub enum CliError {
     Io(std::io::Error),
 }
 
+impl CliError {
+    /// The `dht` process exit status for this error: 2 for a usage error
+    /// (the command line itself is wrong), 1 for everything else.
+    pub fn exit_code(&self) -> u8 {
+        match self {
+            CliError::Usage(_) => 2,
+            _ => 1,
+        }
+    }
+}
+
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

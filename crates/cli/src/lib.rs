@@ -7,6 +7,7 @@
 //! dht stats    --graph g.tsv
 //! dht two-way  --graph g.tsv --sets s.tsv --left 3-U --right 8-D --k 10
 //! dht nway     --graph g.tsv --sets s.tsv --query triangle --set DB --set AI --set SYS --k 5
+//! dht repro    --scale tiny fig9 fig10
 //! ```
 //!
 //! The crate is structured as a library (argument parsing, node-set file
@@ -49,6 +50,7 @@ COMMANDS:
     shard-sets   Partition a node-set file into per-backend shard files
     loadgen      Replay a query file against a running serve instance
     linkpred     Hold-out link-prediction evaluation between two node sets
+    repro        Regenerate the paper's tables and figures and check its claims
     help         Show this message
 
 Run `dht <COMMAND> --help` for the options of a command.
@@ -73,6 +75,7 @@ pub fn run(args: &[String]) -> Result<String> {
         "shard-sets" | "shardsets" => commands::shardsets::run(&ArgMap::parse(rest)?),
         "loadgen" | "load-gen" => commands::loadgen::run(&ArgMap::parse(rest)?),
         "linkpred" | "link-prediction" => commands::linkpred::run(&ArgMap::parse(rest)?),
+        "repro" => commands::repro::run(&ArgMap::parse(rest)?),
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         other => Err(CliError::Usage(format!(
             "unknown command '{other}'\n\n{USAGE}"

@@ -11,7 +11,7 @@ fn main() -> ExitCode {
         }
         Err(err) => {
             eprintln!("error: {err}");
-            ExitCode::FAILURE
+            ExitCode::from(err.exit_code())
         }
     }
 }

@@ -5,17 +5,19 @@
 //! data, so the report prints the synthetic author labels; the property that
 //! carries over is structural — the returned triples are groups of authors
 //! that are strongly connected across the three areas, and the triangle and
-//! chain query graphs return visibly different rankings.
+//! chain query graphs return different rankings, which the experiment
+//! checks as `triangle_and_chain_rank_differently`.
 
 use dht_core::multiway::{NWayAlgorithm, NWayConfig};
 use dht_core::QueryGraph;
 use dht_datasets::Scale;
-use dht_eval::report;
 
-use crate::workloads;
+use crate::{report, workloads};
 
-/// Runs the Table III experiment and returns the formatted report.
-pub fn run(scale: Scale) -> String {
+use super::{Claim, Outcome};
+
+/// Runs the Table III experiment.
+pub fn run(scale: Scale) -> Outcome {
     let dataset = workloads::dblp(scale);
     let sets = workloads::dblp_query_sets(&dataset, 3);
     let config = NWayConfig::paper_default().with_k(5);
@@ -27,6 +29,7 @@ pub fn run(scale: Scale) -> String {
     ));
     out.push_str(&format!("{}\n", dataset.summary()));
 
+    let mut rankings = Vec::new();
     for (label, query) in [
         ("Triangle", QueryGraph::triangle()),
         ("Chain", QueryGraph::chain(3)),
@@ -48,17 +51,35 @@ pub fn run(scale: Scale) -> String {
             "\n{label} query graph\n{}",
             report::format_table(&["rank", "DB", "AI", "SYS", "MIN score"], &rows)
         ));
+        let triples: Vec<Vec<_>> = result.answers.into_iter().map(|a| a.nodes).collect();
+        rankings.push(triples);
     }
-    out
+    let (triangle, chain) = (&rankings[0], &rankings[1]);
+    let shared = triangle.iter().filter(|t| chain.contains(t)).count();
+    let claim = Claim::new(
+        "triangle_and_chain_rank_differently",
+        "Table III",
+        triangle != chain,
+        format!(
+            "triangle and chain top-{} rankings differ: {}; {shared} of {} triples shared",
+            triangle.len(),
+            triangle != chain,
+            triangle.len()
+        ),
+    );
+    Outcome {
+        report: out,
+        claims: vec![claim],
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::tests::tiny;
 
     #[test]
     fn tiny_report_has_both_query_graphs_and_five_ranks() {
-        let report = run(Scale::Tiny);
+        let report = &tiny("table3").report;
         assert!(report.contains("Triangle query graph"));
         assert!(report.contains("Chain query graph"));
         assert!(report.contains("rank"));

@@ -1,7 +1,7 @@
-//! Plain-text table formatting for the experiment binaries.
+//! Plain-text table formatting for the experiments.
 //!
-//! The benchmark harness prints the same rows and series the paper's tables
-//! and figures report; this module keeps the formatting consistent (fixed
+//! The experiments print the same rows and series the paper's tables and
+//! figures report; this module keeps the formatting consistent (fixed
 //! width columns, right-aligned numbers) and easy to diff between runs.
 
 /// Formats a table with a header row.  Columns are sized to their widest
@@ -41,12 +41,6 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Formats a duration in seconds with three significant decimals, matching
-/// the "running time (sec)" axes of the paper's figures.
-pub fn seconds(duration: std::time::Duration) -> String {
-    format!("{:.3}", duration.as_secs_f64())
-}
-
 /// Formats an AUC or rate with four decimals, as in Table IV.
 pub fn rate(value: f64) -> String {
     format!("{value:.4}")
@@ -83,7 +77,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(seconds(std::time::Duration::from_millis(1500)), "1.500");
         assert_eq!(rate(0.94532), "0.9453");
         let h = heading("Table IV");
         assert!(h.contains("Table IV"));

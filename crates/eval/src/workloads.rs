@@ -1,5 +1,5 @@
-//! Workload builders shared by the figure harnesses: dataset construction
-//! plus the node-set selections the paper's experiments use.
+//! Workload builders shared by the experiments: dataset construction plus
+//! the node-set selections the paper's experiments use.
 
 use dht_datasets::dblp::{self, DblpConfig};
 use dht_datasets::yeast::{self, YeastConfig};

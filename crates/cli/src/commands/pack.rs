@@ -6,8 +6,9 @@ const HELP: &str = "\
 dht pack — pack a graph into the versioned binary .dht container
 
 Reads either on-disk format (text edge list or an existing .dht container,
-detected by magic bytes) and writes the binary container, which loads in one
-bulk read with no per-edge parsing and no probability re-derivation.
+detected by magic bytes) and writes the binary container, which loads
+straight into its arrays with no per-edge parsing and no probability
+re-derivation.
 
 OPTIONS:
     --graph <path>   input graph, text edge list or .dht     (required)

@@ -5,10 +5,13 @@
 //! tokenise, parse two ids and a float, validate, then rebuild both CSR
 //! indexes and re-derive every transition probability.  This module instead
 //! persists the finished product — the forward and reverse [`Csr`] arrays
-//! exactly as the walk kernels consume them — so a load is one bulk read
-//! into memory, a handful of header checks, a bulk little-endian decode of
-//! each flat array, and structural bounds validation.  No per-edge parsing,
-//! no probability re-derivation, no re-sorting.
+//! exactly as the walk kernels consume them — so a load is a handful of
+//! header checks, then a little-endian decode that streams each flat array
+//! through one 64 KiB buffer straight into its final vector, and structural
+//! bounds validation.  The load's peak is the graph plus 64 KiB: no
+//! whole-file image, which would double it and, once freed, can stay mapped
+//! as a hole below the arrays.  No per-edge parsing, no probability
+//! re-derivation, no re-sorting.
 //!
 //! ## Layout (format version 1, all integers little-endian)
 //!
@@ -48,7 +51,7 @@
 //! sequential scan verifies at memory speed.
 
 use std::fs::File;
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::path::Path;
 
 use crate::csr::Csr;
@@ -163,48 +166,95 @@ pub fn write_graph_file<P: AsRef<Path>>(graph: &Graph, path: P) -> Result<()> {
 // Reading
 // ---------------------------------------------------------------------------
 
-/// Cursor over the in-memory file image; every take is bounds-checked so a
-/// truncated file surfaces as [`GraphError::Truncated`], never a panic.
-struct Decoder<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Bytes of the one buffer every array is decoded through.
+const CHUNK_LEN: usize = 64 << 10;
+
+fn truncated_at(expected: usize, actual: usize) -> GraphError {
+    GraphError::Truncated { expected, actual }
 }
 
-impl<'a> Decoder<'a> {
-    fn take(&mut self, len: usize) -> Result<&'a [u8]> {
-        let end = self.pos.checked_add(len).ok_or(GraphError::Truncated {
-            expected: usize::MAX,
-            actual: self.bytes.len(),
+/// Sequential reader over a container of known total length `len`.  The
+/// arrays are decoded chunk by chunk from one fixed buffer straight into
+/// their final `Vec`s, so a load holds the graph plus [`CHUNK_LEN`] bytes —
+/// never a whole-file image.  A source that ends before `len` bytes (a file
+/// that shrank mid-read) surfaces as [`GraphError::Truncated`].
+struct Decoder<R> {
+    input: R,
+    len: usize,
+    pos: usize,
+    chunk: Vec<u8>,
+}
+
+impl<R: Read> Decoder<R> {
+    /// Reads the next `buf.len()` bytes into `buf`.
+    fn read_into(&mut self, buf: &mut [u8]) -> Result<()> {
+        self.input.read_exact(buf).map_err(|e| match e.kind() {
+            ErrorKind::UnexpectedEof => truncated_at(self.len, self.pos),
+            _ => GraphError::Io(e),
         })?;
-        if end > self.bytes.len() {
-            return Err(GraphError::Truncated {
-                expected: end,
-                actual: self.bytes.len(),
-            });
+        self.pos += buf.len();
+        Ok(())
+    }
+
+    /// Decodes `count` little-endian values of `width` bytes each into a
+    /// vector sized exactly once.
+    fn read_array<T>(
+        &mut self,
+        count: usize,
+        width: usize,
+        decode: impl Fn(&[u8]) -> T,
+    ) -> Result<Vec<T>> {
+        let mut values = Vec::with_capacity(count);
+        let mut chunk = std::mem::take(&mut self.chunk);
+        let mut left = count;
+        while left > 0 {
+            let n = left.min(CHUNK_LEN / width);
+            let raw = &mut chunk[..n * width];
+            self.read_into(raw)?;
+            values.extend(raw.chunks_exact(width).map(&decode));
+            left -= n;
         }
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+        self.chunk = chunk;
+        Ok(values)
     }
 
     /// Bulk little-endian decode of a `u32` array.  `chunks_exact` +
     /// `from_le_bytes` compiles to a straight memcpy-like loop on
     /// little-endian targets — no per-element parsing.
-    fn take_u32s(&mut self, count: usize) -> Result<Vec<u32>> {
-        let raw = self.take(count * 4)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
+    fn read_u32s(&mut self, count: usize) -> Result<Vec<u32>> {
+        self.read_array(count, 4, |c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
     }
 
     /// Bulk little-endian decode of an `f64` array (bit-preserving).
-    fn take_f64s(&mut self, count: usize) -> Result<Vec<f64>> {
-        let raw = self.take(count * 8)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-            .collect())
+    fn read_f64s(&mut self, count: usize) -> Result<Vec<f64>> {
+        self.read_array(count, 8, |c| {
+            f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]])
+        })
+    }
+}
+
+/// Cursor over an in-memory byte range that starts `base` bytes into the
+/// container; every take is bounds-checked so a short range surfaces as
+/// [`GraphError::Truncated`] (in container offsets), never a panic.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    base: usize,
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, len: usize) -> Result<&'a [u8]> {
+        let actual = self.base + self.bytes.len();
+        let end = self
+            .pos
+            .checked_add(len)
+            .ok_or(truncated_at(usize::MAX, actual))?;
+        if end > self.bytes.len() {
+            return Err(truncated_at(self.base + end, actual));
+        }
+        let slice = &self.bytes[self.pos..end];
+        self.pos = end;
+        Ok(slice)
     }
 
     fn take_u32(&mut self) -> Result<u32> {
@@ -225,8 +275,8 @@ impl<'a> Decoder<'a> {
 /// `offsets` must be monotone non-decreasing from 0 to `edge_count`, and
 /// every stored neighbour id must be `< node_count` — the properties the
 /// walk kernels rely on for unchecked-feeling flat iteration.
-fn decode_csr(dec: &mut Decoder<'_>, node_count: usize, edge_count: usize) -> Result<Csr> {
-    let offsets = dec.take_u32s(node_count + 1)?;
+fn decode_csr(dec: &mut Decoder<impl Read>, node_count: usize, edge_count: usize) -> Result<Csr> {
+    let offsets = dec.read_u32s(node_count + 1)?;
     if offsets.first() != Some(&0) {
         return Err(corrupt("csr offsets do not start at 0"));
     }
@@ -239,28 +289,30 @@ fn decode_csr(dec: &mut Decoder<'_>, node_count: usize, edge_count: usize) -> Re
             offsets.last().expect("offsets non-empty")
         )));
     }
-    let targets = dec.take_u32s(edge_count)?;
+    let targets = dec.read_u32s(edge_count)?;
     if let Some(&bad) = targets.iter().find(|&&t| t as usize >= node_count) {
         return Err(corrupt(format!(
             "neighbour id {bad} is out of range for {node_count} nodes"
         )));
     }
-    let weights = dec.take_f64s(edge_count)?;
-    let probs = dec.take_f64s(edge_count)?;
+    let weights = dec.read_f64s(edge_count)?;
+    let probs = dec.read_f64s(edge_count)?;
     Ok(Csr::from_raw_parts(offsets, targets, weights, probs))
 }
 
-fn decode_labels(
-    dec: &mut Decoder<'_>,
-    node_count: usize,
-    blob_len: usize,
-) -> Result<Vec<Option<String>>> {
-    let blob_end = dec.pos + blob_len;
+/// Decodes the labels blob, the container's last `blob.len()` bytes, which
+/// start `base` bytes into it.
+fn decode_labels(blob: &[u8], base: usize, node_count: usize) -> Result<Vec<Option<String>>> {
     let mut labels: Vec<Option<String>> = vec![None; node_count];
-    if blob_len == 0 {
+    if blob.is_empty() {
         // Permit a zero-length blob (a graph with no labels at all).
         return Ok(labels);
     }
+    let mut dec = Cursor {
+        bytes: blob,
+        base,
+        pos: 0,
+    };
     let labeled = dec.take_u64()? as usize;
     if labeled > node_count {
         return Err(corrupt(format!(
@@ -275,7 +327,7 @@ fn decode_labels(
             )));
         }
         let len = dec.take_u32()? as usize;
-        if dec.pos + len > blob_end {
+        if dec.pos + len > blob.len() {
             return Err(corrupt("labels blob overruns its declared length"));
         }
         let raw = dec.take(len)?;
@@ -283,40 +335,55 @@ fn decode_labels(
             .map_err(|_| corrupt(format!("label for node {node} is not valid utf-8")))?;
         labels[node] = Some(label.to_string());
     }
-    if dec.pos != blob_end {
+    if dec.pos != blob.len() {
         return Err(corrupt("labels blob shorter than its declared length"));
     }
     Ok(labels)
 }
 
-/// Decodes a graph from a complete in-memory file image.
-pub fn decode_graph(bytes: &[u8]) -> Result<Graph> {
-    if bytes.len() < HEADER_LEN {
-        return Err(GraphError::Truncated {
-            expected: HEADER_LEN,
-            actual: bytes.len(),
-        });
+/// Decodes a graph from `input`, which holds exactly `len` bytes.
+///
+/// Everything that sizes an allocation is checked first, in order: the
+/// header is present, its magic, version and checksum, and the payload it
+/// describes is exactly `len - HEADER_LEN` bytes — so a header that lies
+/// cannot cause a large allocation.  Then each CSR array is decoded into a
+/// vector of its final size, and the labels blob is read last.
+fn decode_from<R: Read>(input: R, len: usize) -> Result<Graph> {
+    if len < HEADER_LEN {
+        return Err(truncated_at(HEADER_LEN, len));
     }
-    let mut dec = Decoder { bytes, pos: 0 };
+    let mut dec = Decoder {
+        input,
+        len,
+        pos: 0,
+        chunk: Vec::new(),
+    };
+    let mut header = [0u8; HEADER_LEN];
+    dec.read_into(&mut header)?;
+    let mut fields = Cursor {
+        bytes: &header,
+        base: 0,
+        pos: 0,
+    };
 
-    let magic = dec.take(4)?;
+    let magic = fields.take(4)?;
     if magic != MAGIC {
         return Err(corrupt(format!(
             "bad magic {magic:?}; expected {MAGIC:?} — not a binary graph file"
         )));
     }
-    let version = dec.take_u32()?;
+    let version = fields.take_u32()?;
     if version != VERSION {
         return Err(GraphError::VersionMismatch {
             found: version,
             supported: VERSION,
         });
     }
-    let node_count = dec.take_u64()? as usize;
-    let edge_count = dec.take_u64()? as usize;
-    let labels_len = dec.take_u64()? as usize;
-    let stored_checksum = dec.take_u64()?;
-    let computed = fnv1a(&bytes[0..32]);
+    let node_count = fields.take_u64()? as usize;
+    let edge_count = fields.take_u64()? as usize;
+    let labels_len = fields.take_u64()? as usize;
+    let stored_checksum = fields.take_u64()?;
+    let computed = fnv1a(&header[0..32]);
     if stored_checksum != computed {
         return Err(corrupt(format!(
             "header checksum mismatch: stored {stored_checksum:#018x}, computed {computed:#018x}"
@@ -325,8 +392,9 @@ pub fn decode_graph(bytes: &[u8]) -> Result<Graph> {
 
     // Size sanity before any allocation: the header fully determines the
     // payload length, so a lying header is caught here, not mid-decode.
-    let csr_bytes = (node_count + 1)
-        .checked_mul(4)
+    let csr_bytes = node_count
+        .checked_add(1)
+        .and_then(|n| n.checked_mul(4))
         .and_then(|o| {
             edge_count
                 .checked_mul(4 + 8 + 8)
@@ -338,46 +406,43 @@ pub fn decode_graph(bytes: &[u8]) -> Result<Graph> {
         .and_then(|p| p.checked_add(HEADER_LEN))
         .and_then(|p| p.checked_add(labels_len))
         .ok_or_else(|| corrupt("header sizes overflow"))?;
-    if bytes.len() < expected_len {
-        return Err(GraphError::Truncated {
-            expected: expected_len,
-            actual: bytes.len(),
-        });
+    if len < expected_len {
+        return Err(truncated_at(expected_len, len));
     }
-    if bytes.len() > expected_len {
+    if len > expected_len {
         return Err(corrupt(format!(
-            "trailing garbage: file is {} bytes but the header describes {expected_len}",
-            bytes.len()
+            "trailing garbage: file is {len} bytes but the header describes {expected_len}"
         )));
     }
 
+    dec.chunk = vec![0; CHUNK_LEN];
     let forward = decode_csr(&mut dec, node_count, edge_count)?;
     let reverse = decode_csr(&mut dec, node_count, edge_count)?;
     if reverse.edge_count() != forward.edge_count() {
         return Err(corrupt("forward and reverse edge counts disagree"));
     }
-    let labels = decode_labels(&mut dec, node_count, labels_len)?;
+    let base = dec.pos;
+    let mut blob = vec![0; labels_len];
+    dec.read_into(&mut blob)?;
+    let labels = decode_labels(&blob, base, node_count)?;
 
     Ok(Graph::from_csr_parts(node_count, forward, reverse, labels))
 }
 
-/// Reads a graph from any reader producing the binary container format.
-pub fn read_graph<R: Read>(mut input: R) -> Result<Graph> {
-    let mut bytes = Vec::new();
-    input.read_to_end(&mut bytes)?;
-    decode_graph(&bytes)
+/// Decodes a graph from a complete in-memory container.
+pub fn decode_graph(bytes: &[u8]) -> Result<Graph> {
+    decode_from(bytes, bytes.len())
 }
 
-/// Loads a graph from a binary container file: one bulk read of the whole
-/// file, then [`decode_graph`].
+/// Loads a graph from a binary container file, streaming each array
+/// straight into its final vector: the load's peak is the graph plus
+/// 64 KiB.  A whole-file image would double that, and once glibc's mmap
+/// threshold has risen past its size it lands on the heap below the arrays
+/// and stays mapped as a hole after it is freed.
 pub fn read_graph_file<P: AsRef<Path>>(path: P) -> Result<Graph> {
-    let mut file = File::open(path)?;
-    let mut bytes = Vec::new();
-    if let Ok(meta) = file.metadata() {
-        bytes.reserve_exact(meta.len() as usize);
-    }
-    file.read_to_end(&mut bytes)?;
-    decode_graph(&bytes)
+    let file = File::open(path)?;
+    let len = file.metadata()?.len() as usize;
+    decode_from(file, len)
 }
 
 /// Whether `bytes` begin with the binary container magic.
@@ -507,12 +572,40 @@ mod tests {
     }
 
     #[test]
+    fn a_node_count_at_the_top_of_the_range_is_an_overflow_not_a_panic() {
+        let mut bytes = encode(&sample_graph());
+        bytes[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        let checksum = fnv1a(&bytes[0..32]);
+        bytes[32..40].copy_from_slice(&checksum.to_le_bytes());
+        match decode_graph(&bytes) {
+            Err(GraphError::Corrupt { message }) => assert!(message.contains("overflow")),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn truncated_payload_is_truncated_error() {
         let bytes = encode(&sample_graph());
         for cut in [HEADER_LEN - 1, HEADER_LEN + 3, bytes.len() - 1] {
             match decode_graph(&bytes[..cut]) {
                 Err(GraphError::Truncated { expected, actual }) => {
                     assert!(expected > actual, "expected {expected} > actual {actual}");
+                }
+                other => panic!("expected Truncated at cut {cut}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_source_shorter_than_its_length_is_truncated() {
+        // A file that shrinks between `metadata` and the read: every cut,
+        // header or payload, ends the read early.
+        let bytes = encode(&sample_graph());
+        for cut in [HEADER_LEN - 1, HEADER_LEN + 3, bytes.len() - 1] {
+            match decode_from(&bytes[..cut], bytes.len()) {
+                Err(GraphError::Truncated { expected, actual }) => {
+                    assert_eq!(expected, bytes.len());
+                    assert!(actual <= cut, "actual {actual} > cut {cut}");
                 }
                 other => panic!("expected Truncated at cut {cut}, got {other:?}"),
             }

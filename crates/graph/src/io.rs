@@ -108,7 +108,8 @@ pub fn read_edge_list_file(path: impl AsRef<Path>) -> Result<Graph> {
 
 /// Reads a graph from a file in either supported on-disk format, sniffing
 /// the first bytes: files that start with the [`crate::binfmt::MAGIC`]
-/// container magic take the bulk binary load path, everything else is
+/// container magic stream straight into their CSR arrays
+/// ([`crate::binfmt::read_graph_file`]), everything else is
 /// parsed as a text edge list.  This is what every `--graph` flag funnels
 /// through, so `.dht` containers are accepted transparently wherever a
 /// text graph is.

@@ -22,8 +22,9 @@
 //!   triangle / 3-clique enumeration) used by the evaluation harness.
 //! * [`io`] — a plain-text edge-list format for persisting graphs.
 //! * [`binfmt`] — a versioned little-endian binary container that stores
-//!   both CSR indexes verbatim, so loading is a bulk read plus bounds
-//!   validation instead of per-edge text parsing.
+//!   both CSR indexes verbatim, so loading streams each array straight into
+//!   its final vector (peak: the graph plus 64 KiB) with bounds validation
+//!   instead of per-edge text parsing.
 //! * [`subgraph`] — edge-removal helpers used to derive "test graphs" for the
 //!   link-prediction experiments.
 //!

@@ -2,7 +2,12 @@
 //! for *every* graph, pack → load must reproduce the original bit-for-bit
 //! (CSR arrays, transition probabilities, labels) and answer queries
 //! identically, and mangled containers must fail with typed errors rather
-//! than loading quietly wrong.
+//! than loading quietly wrong.  Loading from a slice and from a file is one
+//! decoder: on any container, mangled or not, both give the same answer.
+
+use std::mem::discriminant;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
@@ -38,6 +43,18 @@ fn build_graph(n: usize, edges: &[(u32, u32, f64)], labeled: &[u32]) -> Graph {
         }
     }
     builder.build().expect("generated graph is valid")
+}
+
+/// Writes `bytes` to a fresh file under the temp directory.
+fn temp_container(bytes: &[u8]) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "dht-binfmt-proptest-{}-{}.dht",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, bytes).expect("temp file written");
+    path
 }
 
 /// Asserts both CSR indexes and the labels are bit-identical (plain `==`
@@ -134,6 +151,48 @@ proptest! {
                 | GraphError::VersionMismatch { .. }
                 | GraphError::Truncated { .. }
         ), "unexpected error for header byte {byte}: {err}");
+    }
+
+    /// Flip one byte anywhere (header or payload) or cut the container
+    /// anywhere: `decode_graph` over the bytes and `read_graph_file` over
+    /// the same bytes on disk both return, and agree — the same graph bit
+    /// for bit, or the same error variant.
+    #[test]
+    fn slice_and_file_loads_agree_on_mangled_containers(
+        (n, edges, labeled) in small_graph_strategy(),
+        position in 0.0f64..1.0,
+        flip in 1u32..256,
+        cut in 0u32..2
+    ) {
+        let original = build_graph(n, &edges, &labeled);
+        let mut bytes = Vec::new();
+        binfmt::write_graph(&original, &mut bytes).expect("write succeeds");
+        let at = ((bytes.len() as f64) * position) as usize;
+        if cut == 1 {
+            bytes.truncate(at);
+        } else {
+            bytes[at] ^= flip as u8;
+        }
+        let path = temp_container(&bytes);
+        let from_slice = binfmt::decode_graph(&bytes);
+        let from_file = binfmt::read_graph_file(&path);
+        std::fs::remove_file(&path).ok();
+        match (&from_slice, &from_file) {
+            (Ok(a), Ok(b)) => assert_bit_identical(a, b)?,
+            (Err(a), Err(b)) => prop_assert_eq!(
+                discriminant(a),
+                discriminant(b),
+                "slice: {}, file: {}",
+                a,
+                b
+            ),
+            _ => prop_assert!(
+                false,
+                "slice: {:?}, file: {:?}",
+                from_slice.map(|_| "a graph"),
+                from_file.map(|_| "a graph")
+            ),
+        }
     }
 }
 

@@ -1,9 +1,9 @@
 //! `dht nway` — top-k n-way join over a query graph of node sets.
 
-use dht_core::multiway::{NWayAlgorithm, NWayConfig};
-use dht_core::{Answer, QueryGraph};
+use dht_core::multiway::{ap, NWayAlgorithm, NWayConfig};
+use dht_core::{Answer, QueryCtx, QueryGraph};
 use dht_graph::{Graph, NodeSet};
-use dht_measures::measure_nway_top_k_threaded;
+use dht_measures::MeasureSource;
 
 use crate::{setsfile, ArgMap, CliError, Result};
 
@@ -84,7 +84,8 @@ pub fn run(args: &ArgMap) -> Result<String> {
             let config = NWayConfig::new(params, depth, aggregate, k)
                 .with_engine(engine)
                 .with_threads(threads);
-            let output = algorithm.run(&graph, &config, &query, &node_sets)?;
+            let ctx = &mut QueryCtx::one_shot();
+            let output = algorithm.run_with_ctx(&graph, &config, &query, &node_sets, ctx)?;
             (
                 format!(
                     "top-{k} {}-way join over {} (DHT, {}, {} aggregate)",
@@ -98,9 +99,9 @@ pub fn run(args: &ArgMap) -> Result<String> {
         }
         "ppr" | "ht" | "hitting-time" => {
             let (name, _, m) = super::measure_options(args)?;
-            let output = measure_nway_top_k_threaded(
-                &graph, &*m, &query, &node_sets, aggregate, k, engine, threads,
-            )?;
+            let source = MeasureSource::new(&*m, engine, threads);
+            let ctx = &mut QueryCtx::one_shot();
+            let output = ap::run_over(&graph, &source, &query, &node_sets, aggregate, k, ctx)?;
             (
                 format!(
                     "top-{k} {}-way join over {} ({name}, {} aggregate)",
@@ -293,6 +294,24 @@ rank  score        answer
             nway(&g, &s, &[&sets[..], &options].concat()).unwrap()
         });
         assert_eq!(out.concat(), PINNED);
+        remove([&g, &s]);
+    }
+
+    #[test]
+    fn k_zero_prints_an_empty_table_for_every_rank_join() {
+        let (g, s) = fixture("k0");
+        let sets = ["--set", "A", "--set", "B", "--set", "C", "--k", "0"];
+        for options in [
+            ["--algorithm", "ap"],
+            ["--algorithm", "pj"],
+            ["--algorithm", "pj-i"],
+            ["--measure", "ppr"],
+        ] {
+            let out = nway(&g, &s, &[&sets[..], &options].concat()).unwrap();
+            let (header, table) = out.split_once('\n').unwrap();
+            assert!(header.starts_with("top-0 3-way join"), "{options:?}: {out}");
+            assert_eq!(table, "rank  score        answer\n", "{options:?}");
+        }
         remove([&g, &s]);
     }
 

@@ -1,8 +1,10 @@
 //! `dht two-way` — top-k 2-way join between two named node sets.
 
-use dht_core::twoway::TwoWayConfig;
+use dht_core::answer::PairScore;
+use dht_core::twoway::{bbj, TwoWayConfig};
+use dht_core::QueryCtx;
 use dht_graph::Graph;
-use dht_measures::{measure_two_way_top_k_threaded, MeasurePair};
+use dht_measures::MeasureSource;
 
 use crate::{setsfile, ArgMap, Result};
 
@@ -72,7 +74,8 @@ pub fn run(args: &ArgMap) -> Result<String> {
         let config = TwoWayConfig::new(params, depth)
             .with_engine(engine)
             .with_threads(threads);
-        let output = algorithm.top_k(&graph, &config, left, right, k);
+        let ctx = &mut QueryCtx::one_shot();
+        let output = algorithm.top_k_with_ctx(&graph, &config, left, right, k, ctx);
         (
             format!(
                 "top-{k} 2-way join {} ⋈ {} (DHT, {}, λ={}, d={depth})",
@@ -86,9 +89,11 @@ pub fn run(args: &ArgMap) -> Result<String> {
     } else {
         let (name, detail, m) = super::measure_options(args)?;
         let (l, r) = (left.name(), right.name());
+        let source = MeasureSource::new(&*m, engine, threads);
+        let output = bbj::top_k(&graph, &source, left, right, k, &mut QueryCtx::one_shot());
         (
             format!("top-{k} 2-way join {l} ⋈ {r} ({name}, {detail})"),
-            measure_two_way_top_k_threaded(&graph, &*m, left, right, k, engine, threads),
+            output.pairs,
         )
     };
 
@@ -100,7 +105,7 @@ pub fn run(args: &ArgMap) -> Result<String> {
     Ok(format!("{header}\n{table}"))
 }
 
-fn pair_label(graph: &Graph, pair: &MeasurePair, with_labels: bool) -> String {
+fn pair_label(graph: &Graph, pair: &PairScore, with_labels: bool) -> String {
     if with_labels {
         format!(
             "({}, {})",

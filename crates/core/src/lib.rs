@@ -52,8 +52,9 @@ pub use error::CoreError;
 pub use query::QueryGraph;
 pub use spec::{AlgorithmChoice, NWaySpec, QuerySpec, TwoWaySpec};
 pub use stats::{NWayStats, TwoWayStats};
-// The session context every join can run through (re-exported so callers of
-// the `*_with_ctx` entry points need not depend on `dht-walks` directly).
+// The session context every join takes as its last argument (re-exported so
+// callers need not depend on `dht-walks` directly; `QueryCtx::one_shot()`
+// is the context of a caller with no session).
 pub use dht_walks::QueryCtx;
 
 /// Convenience result alias for this crate.

@@ -13,7 +13,7 @@ use dht_walks::QueryCtx;
 use crate::answer::PairScore;
 use crate::query::QueryGraph;
 use crate::stats::NWayStats;
-use crate::twoway::{bbj, ColumnSource, TwoWayAlgorithm, TwoWayOutput};
+use crate::twoway::{bbj, fbj, ColumnSource, TwoWayOutput};
 use crate::{Aggregate, Result};
 
 use super::pbrj::{self, EdgeListProvider};
@@ -34,64 +34,40 @@ impl EdgeListProvider for FullListProvider {
     }
 }
 
-/// Runs AP as a one-shot call with the given inner 2-way join algorithm
-/// (the paper uses F-BJ; `BackwardBasic` produces identical lists faster).
-pub fn run(
-    graph: &Graph,
-    config: &NWayConfig,
-    query: &QueryGraph,
-    node_sets: &[NodeSet],
-    two_way: TwoWayAlgorithm,
-) -> Result<NWayOutput> {
-    run_with_ctx(
-        graph,
-        config,
-        query,
-        node_sets,
-        two_way,
-        &mut QueryCtx::one_shot(),
-    )
-}
-
-/// Runs AP through a session context.
+/// Runs AP with the paper's inner 2-way join, F-BJ, for every query edge.
 ///
 /// The per-edge 2-way joins are independent of one another; with
 /// `config.threads > 1` and a multi-edge query graph they run concurrently
 /// (each join serial inside, so workers are not oversubscribed), and their
 /// outputs are absorbed in edge order — identical to a serial run.  In the
 /// concurrent case each worker forks the session context
-/// ([`QueryCtx::fork`]), which holds the session's stores, so a backward
-/// `two_way` algorithm reads and fills the same caches on the parallel path
-/// as on the serial one.  [`NWayAlgorithm::AllPairs`](super::NWayAlgorithm)
-/// passes F-BJ, which reads no column: its per-edge joins neither read nor
-/// warm any cache.  The serial path threads the session context through
-/// every edge directly.
-pub fn run_with_ctx(
+/// ([`QueryCtx::fork`]) for its scratch pool.  F-BJ reads no column, so
+/// these joins neither read nor warm any cache; [`run_over`] builds the
+/// same lists with B-BJ through the context's column cache.
+pub fn run(
     graph: &Graph,
     config: &NWayConfig,
     query: &QueryGraph,
     node_sets: &[NodeSet],
-    two_way: TwoWayAlgorithm,
     ctx: &mut QueryCtx,
 ) -> Result<NWayOutput> {
     query.validate_node_sets(node_sets)?;
     let threads = dht_par::effective_threads(config.threads);
 
-    let edges: Vec<(usize, usize)> = query.edges().to_vec();
+    let edges = query.edges();
     let outputs = if threads > 1 && edges.len() > 1 {
         // Outer-level parallelism over query edges; inner joins run serial
         // so total concurrency stays at the requested thread count.  Each
-        // worker forks the session context once, holding its stores.
+        // worker forks the session context once, for its scratch pool.
         let inner = config.two_way().with_threads(1);
         let worker_ctx = &*ctx;
         dht_par::parallel_map_init(
             config.threads,
-            &edges,
+            edges,
             || worker_ctx.fork(),
             |ctx, _, &(i, j)| {
-                let p = &node_sets[i];
-                let q = &node_sets[j];
-                two_way.top_k_with_ctx(graph, &inner, p, q, p.len() * q.len(), ctx)
+                let (p, q) = (&node_sets[i], &node_sets[j]);
+                fbj::top_k(graph, &inner, p, q, p.len() * q.len(), ctx)
             },
         )
     } else {
@@ -99,9 +75,8 @@ pub fn run_with_ctx(
         edges
             .iter()
             .map(|&(i, j)| {
-                let p = &node_sets[i];
-                let q = &node_sets[j];
-                two_way.top_k_with_ctx(graph, &inner, p, q, p.len() * q.len(), ctx)
+                let (p, q) = (&node_sets[i], &node_sets[j]);
+                fbj::top_k(graph, &inner, p, q, p.len() * q.len(), ctx)
             })
             .collect()
     };
@@ -125,7 +100,7 @@ pub fn run_over<S: ColumnSource>(
     let outputs = (query.edges().iter())
         .map(|&(i, j)| {
             let (p, q) = (&node_sets[i], &node_sets[j]);
-            bbj::top_k_over(graph, source, p, q, p.len() * q.len(), ctx)
+            bbj::top_k(graph, source, p, q, p.len() * q.len(), ctx)
         })
         .collect();
     rank_join(query, node_sets, aggregate, k, source.floor(), outputs)
@@ -175,12 +150,13 @@ mod tests {
     fn agrees_with_nested_loop_on_a_chain() {
         let (g, sets) = fixture();
         let query = QueryGraph::chain(3);
+        let mut ctx = QueryCtx::one_shot();
         for aggregate in [Aggregate::Min, Aggregate::Sum] {
             let config = NWayConfig::paper_default()
                 .with_k(6)
                 .with_aggregate(aggregate);
-            let reference = nl::run(&g, &config, &query, &sets, true).unwrap();
-            let ap = run(&g, &config, &query, &sets, TwoWayAlgorithm::ForwardBasic).unwrap();
+            let reference = nl::run(&g, &config, &query, &sets, true, &mut ctx).unwrap();
+            let ap = run(&g, &config, &query, &sets, &mut ctx).unwrap();
             assert_eq!(reference.answers.len(), ap.answers.len());
             for (a, b) in reference.answers.iter().zip(ap.answers.iter()) {
                 assert!(
@@ -204,15 +180,19 @@ mod tests {
         let sets: Vec<NodeSet> = cg.communities.clone();
         let query = QueryGraph::triangle();
         let config = NWayConfig::paper_default().with_k(5);
-        let reference = nl::run(&cg.graph, &config, &query, &sets, true).unwrap();
-        let ap = run(
+        let mut ctx = QueryCtx::one_shot();
+        let reference = nl::run(&cg.graph, &config, &query, &sets, true, &mut ctx).unwrap();
+        let (aggregate, k) = (config.aggregate, config.k);
+        let ap = run_over(
             &cg.graph,
-            &config,
+            &config.two_way(),
             &query,
             &sets,
-            TwoWayAlgorithm::BackwardBasic,
-        )
-        .unwrap();
+            aggregate,
+            k,
+            &mut ctx,
+        );
+        let ap = ap.unwrap();
         assert_eq!(reference.answers.len(), ap.answers.len());
         for (a, b) in reference.answers.iter().zip(ap.answers.iter()) {
             assert!((a.score - b.score).abs() < 1e-10, "{a:?} vs {b:?}");
@@ -224,8 +204,11 @@ mod tests {
         let (g, sets) = fixture();
         let query = QueryGraph::chain(3);
         let config = NWayConfig::paper_default().with_k(8);
-        let fwd = run(&g, &config, &query, &sets, TwoWayAlgorithm::ForwardBasic).unwrap();
-        let bwd = run(&g, &config, &query, &sets, TwoWayAlgorithm::BackwardBasic).unwrap();
+        let mut ctx = QueryCtx::one_shot();
+        let fwd = run(&g, &config, &query, &sets, &mut ctx).unwrap();
+        let (aggregate, k) = (config.aggregate, config.k);
+        let bwd = run_over(&g, &config.two_way(), &query, &sets, aggregate, k, &mut ctx);
+        let bwd = bwd.unwrap();
         assert_eq!(fwd.answers.len(), bwd.answers.len());
         for (a, b) in fwd.answers.iter().zip(bwd.answers.iter()) {
             assert_eq!(a.nodes, b.nodes);
@@ -238,7 +221,10 @@ mod tests {
         let (g, sets) = fixture();
         let query = QueryGraph::triangle();
         let config = NWayConfig::paper_default().with_k(3);
-        let out = run(&g, &config, &query, &sets, TwoWayAlgorithm::BackwardBasic).unwrap();
+        let (aggregate, k) = (config.aggregate, config.k);
+        let mut ctx = QueryCtx::one_shot();
+        let out = run_over(&g, &config.two_way(), &query, &sets, aggregate, k, &mut ctx);
+        let out = out.unwrap();
         assert_eq!(out.stats.two_way_joins, 6);
     }
 }

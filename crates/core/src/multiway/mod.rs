@@ -31,7 +31,7 @@ use crate::aggregate::Aggregate;
 use crate::answer::Answer;
 use crate::query::QueryGraph;
 use crate::stats::NWayStats;
-use crate::twoway::{TwoWayAlgorithm, TwoWayConfig};
+use crate::twoway::TwoWayConfig;
 use crate::Result;
 
 /// Shared configuration of an n-way join run.
@@ -147,23 +147,12 @@ impl NWayAlgorithm {
         }
     }
 
-    /// Runs the selected algorithm as a one-shot call (a fresh, cache-free
-    /// context) with its default inner 2-way join (F-BJ for AP and B-IDJ-Y
-    /// for PJ / PJ-i, matching Section VII-A).
-    pub fn run(
-        self,
-        graph: &Graph,
-        config: &NWayConfig,
-        query: &QueryGraph,
-        node_sets: &[NodeSet],
-    ) -> Result<NWayOutput> {
-        self.run_with_ctx(graph, config, query, node_sets, &mut QueryCtx::one_shot())
-    }
-
     /// Runs the selected algorithm through a session context: the inner
     /// 2-way joins (and PJ-i's refinement walks) share the context's
-    /// backward-column and Y-table caches.  Answers are bit-identical to
-    /// [`NWayAlgorithm::run`] at every cache state.
+    /// backward-column and Y-table caches.  The inner 2-way join is F-BJ
+    /// for AP and B-IDJ-Y for PJ / PJ-i, matching Section VII-A.  Answers
+    /// are bit-identical at every cache state; [`QueryCtx::one_shot`] runs
+    /// it with no cache at all.
     pub fn run_with_ctx(
         self,
         graph: &Graph,
@@ -173,28 +162,11 @@ impl NWayAlgorithm {
         ctx: &mut QueryCtx,
     ) -> Result<NWayOutput> {
         match self {
-            NWayAlgorithm::NestedLoop => {
-                nl::run_with_ctx(graph, config, query, node_sets, false, ctx)
-            }
-            NWayAlgorithm::AllPairs => ap::run_with_ctx(
-                graph,
-                config,
-                query,
-                node_sets,
-                TwoWayAlgorithm::ForwardBasic,
-                ctx,
-            ),
-            NWayAlgorithm::PartialJoin { m } => pj::run_with_ctx(
-                graph,
-                config,
-                query,
-                node_sets,
-                m,
-                TwoWayAlgorithm::BackwardIdjY,
-                ctx,
-            ),
+            NWayAlgorithm::NestedLoop => nl::run(graph, config, query, node_sets, false, ctx),
+            NWayAlgorithm::AllPairs => ap::run(graph, config, query, node_sets, ctx),
+            NWayAlgorithm::PartialJoin { m } => pj::run(graph, config, query, node_sets, m, ctx),
             NWayAlgorithm::IncrementalPartialJoin { m } => {
-                pji::run_with_ctx(graph, config, query, node_sets, m, ctx)
+                pji::run(graph, config, query, node_sets, m, ctx)
             }
         }
     }
@@ -230,5 +202,28 @@ mod tests {
             NWayAlgorithm::IncrementalPartialJoin { m: 50 }.name(),
             "PJ-i"
         );
+    }
+
+    #[test]
+    fn every_algorithm_returns_no_answers_at_k_zero() {
+        let graph = dht_graph::generators::erdos_renyi(18, 60, 23);
+        let sets: Vec<NodeSet> = [[0, 1, 2], [6, 7, 8], [12, 13, 14]]
+            .iter()
+            .map(|ids| NodeSet::new("R", ids.iter().copied().map(dht_graph::NodeId)))
+            .collect();
+        let config = NWayConfig::paper_default().with_k(0);
+        for query in [QueryGraph::chain(3), QueryGraph::triangle()] {
+            for algorithm in [
+                NWayAlgorithm::NestedLoop,
+                NWayAlgorithm::AllPairs,
+                NWayAlgorithm::PartialJoin { m: 4 },
+                NWayAlgorithm::IncrementalPartialJoin { m: 4 },
+            ] {
+                let mut ctx = QueryCtx::one_shot();
+                let out = algorithm.run_with_ctx(&graph, &config, &query, &sets, &mut ctx);
+                let answers = out.unwrap().answers;
+                assert!(answers.is_empty(), "{}: {answers:?}", algorithm.name());
+            }
+        }
     }
 }

@@ -20,28 +20,11 @@ use crate::Result;
 
 use super::{NWayConfig, NWayOutput};
 
-/// Runs NL as a one-shot call.  With `memoize = true`, per-pair DHT scores
-/// are cached across candidate tuples (same answers, fewer walks).
+/// Runs NL.  With `memoize = true`, per-pair DHT scores are cached across
+/// candidate tuples (same answers, fewer walks).  The enumeration's forward
+/// walks run on a scratch from the context's pool; the per-pair memo stays
+/// local to the call.
 pub fn run(
-    graph: &Graph,
-    config: &NWayConfig,
-    query: &QueryGraph,
-    node_sets: &[NodeSet],
-    memoize: bool,
-) -> Result<NWayOutput> {
-    run_with_ctx(
-        graph,
-        config,
-        query,
-        node_sets,
-        memoize,
-        &mut QueryCtx::one_shot(),
-    )
-}
-
-/// Runs NL through a session context (the enumeration's forward walks run
-/// on a pooled scratch; the per-pair memo stays local to the call).
-pub fn run_with_ctx(
     graph: &Graph,
     config: &NWayConfig,
     query: &QueryGraph,
@@ -159,10 +142,11 @@ mod tests {
 
     #[test]
     fn matches_a_direct_matrix_computation_on_a_chain() {
+        let mut ctx = QueryCtx::one_shot();
         let (g, sets) = fixture();
         let query = QueryGraph::chain(3);
         let config = NWayConfig::paper_default().with_k(5);
-        let out = run(&g, &config, &query, &sets, false).unwrap();
+        let out = run(&g, &config, &query, &sets, false, &mut ctx).unwrap();
 
         // brute force with the all-pairs oracle
         let oracle = all_pairs_dht(&g, &config.params, config.d);
@@ -193,13 +177,14 @@ mod tests {
 
     #[test]
     fn memoized_and_plain_runs_agree() {
+        let mut ctx = QueryCtx::one_shot();
         let (g, sets) = fixture();
         let query = QueryGraph::triangle();
         let config = NWayConfig::paper_default()
             .with_k(4)
             .with_aggregate(Aggregate::Sum);
-        let plain = run(&g, &config, &query, &sets, false).unwrap();
-        let memo = run(&g, &config, &query, &sets, true).unwrap();
+        let plain = run(&g, &config, &query, &sets, false, &mut ctx).unwrap();
+        let memo = run(&g, &config, &query, &sets, true, &mut ctx).unwrap();
         assert_eq!(plain.answers.len(), memo.answers.len());
         for (a, b) in plain.answers.iter().zip(memo.answers.iter()) {
             assert_eq!(a.nodes, b.nodes);
@@ -210,10 +195,11 @@ mod tests {
 
     #[test]
     fn two_way_case_reduces_to_a_pair_ranking() {
+        let mut ctx = QueryCtx::one_shot();
         let (g, sets) = fixture();
         let query = QueryGraph::chain(2);
         let config = NWayConfig::paper_default().with_k(3);
-        let out = run(&g, &config, &query, &sets[..2], false).unwrap();
+        let out = run(&g, &config, &query, &sets[..2], false, &mut ctx).unwrap();
         assert_eq!(out.answers.len(), 3);
         assert!(out.answers.iter().all(|a| a.arity() == 2));
         for w in out.answers.windows(2) {
@@ -223,6 +209,7 @@ mod tests {
 
     #[test]
     fn tuples_with_repeated_nodes_are_skipped() {
+        let mut ctx = QueryCtx::one_shot();
         let g = erdos_renyi(10, 30, 7);
         // overlapping node sets force potential repeats
         let sets = vec![
@@ -231,16 +218,17 @@ mod tests {
         ];
         let query = QueryGraph::chain(2);
         let config = NWayConfig::paper_default().with_k(10);
-        let out = run(&g, &config, &query, &sets, false).unwrap();
+        let out = run(&g, &config, &query, &sets, false, &mut ctx).unwrap();
         assert_eq!(out.stats.tuples_enumerated, 3, "(1,1) is degenerate");
         assert!(out.answers.iter().all(|a| a.nodes[0] != a.nodes[1]));
     }
 
     #[test]
     fn validates_node_set_count() {
+        let mut ctx = QueryCtx::one_shot();
         let (g, sets) = fixture();
         let query = QueryGraph::chain(4);
         let config = NWayConfig::paper_default();
-        assert!(run(&g, &config, &query, &sets, false).is_err());
+        assert!(run(&g, &config, &query, &sets, false, &mut ctx).is_err());
     }
 }

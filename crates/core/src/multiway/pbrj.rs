@@ -89,6 +89,10 @@ pub fn run(
     if !query.is_connected() {
         return Err(crate::CoreError::DisconnectedQueryGraph);
     }
+    if k == 0 {
+        // Nothing to return, and an empty output buffer is already full.
+        return Ok(Vec::new());
+    }
 
     let edge_count = query.edge_count();
     let mut buffers: Vec<CandidateBuffer> = vec![CandidateBuffer::new(); edge_count];
@@ -492,8 +496,8 @@ triangle MIN pj-i: pulled 78 candidates 5 next_pair 66 | [0, 12, 17]=-1.23337520
     #[test]
     fn answers_and_counters_are_pinned_on_a_fixed_fixture() {
         use crate::multiway::{pj, pji, NWayConfig};
-        use crate::twoway::TwoWayAlgorithm;
         use dht_graph::generators::{planted_partition, PlantedPartitionConfig};
+        use dht_walks::QueryCtx;
 
         let cg = planted_partition(&PlantedPartitionConfig {
             communities: 3,
@@ -514,10 +518,10 @@ triangle MIN pj-i: pulled 78 candidates 5 next_pair 66 | [0, 12, 17]=-1.23337520
                     .with_k(3)
                     .with_aggregate(aggregate);
                 let sets = &cg.communities;
-                let two_way = TwoWayAlgorithm::BackwardIdjY;
+                let ctx = &mut QueryCtx::one_shot();
                 let runs = [
-                    ("pj", pj::run(&cg.graph, &config, &query, sets, 2, two_way)),
-                    ("pj-i", pji::run(&cg.graph, &config, &query, sets, 2)),
+                    ("pj", pj::run(&cg.graph, &config, &query, sets, 2, ctx)),
+                    ("pj-i", pji::run(&cg.graph, &config, &query, sets, 2, ctx)),
                 ];
                 for (algorithm, out) in runs {
                     let out = out.unwrap();

@@ -12,7 +12,7 @@ use dht_walks::QueryCtx;
 use crate::answer::PairScore;
 use crate::query::QueryGraph;
 use crate::stats::NWayStats;
-use crate::twoway::{TwoWayAlgorithm, TwoWayConfig};
+use crate::twoway::{bidj, TwoWayConfig};
 use crate::Result;
 
 use super::pbrj::{self, EdgeListProvider};
@@ -23,7 +23,6 @@ use super::{NWayConfig, NWayOutput};
 struct RestartingProvider<'a> {
     graph: &'a Graph,
     two_way_config: TwoWayConfig,
-    two_way: TwoWayAlgorithm,
     node_sets: &'a [NodeSet],
     edges: Vec<(usize, usize)>,
     lists: Vec<Vec<PairScore>>,
@@ -53,9 +52,15 @@ impl EdgeListProvider for RestartingProvider<'_> {
             self.complete[edge] = true;
             return None;
         }
-        let out =
-            self.two_way
-                .top_k_with_ctx(self.graph, &self.two_way_config, p, q, wanted, self.ctx);
+        let out = bidj::top_k_y(
+            self.graph,
+            &self.two_way_config,
+            p,
+            q,
+            wanted,
+            None,
+            self.ctx,
+        );
         stats.two_way_joins += 1;
         stats.two_way.absorb(&out.stats);
         if out.pairs.len() <= index {
@@ -73,37 +78,16 @@ impl EdgeListProvider for RestartingProvider<'_> {
     }
 }
 
-/// Runs PJ as a one-shot call with the given `m` and inner 2-way join
-/// algorithm (the paper's default is B-IDJ-Y).
+/// Runs PJ with the given `m` and the paper's inner 2-way join, B-IDJ-Y.
+/// Both the initial top-`m` joins and the restarted deeper joins of
+/// `getNextNodePair` share the context's caches, so a restart only
+/// recomputes the columns the deeper join actually adds.
 pub fn run(
     graph: &Graph,
     config: &NWayConfig,
     query: &QueryGraph,
     node_sets: &[NodeSet],
     m: usize,
-    two_way: TwoWayAlgorithm,
-) -> Result<NWayOutput> {
-    run_with_ctx(
-        graph,
-        config,
-        query,
-        node_sets,
-        m,
-        two_way,
-        &mut QueryCtx::one_shot(),
-    )
-}
-
-/// Runs PJ through a session context: both the initial top-`m` joins and the
-/// restarted deeper joins of `getNextNodePair` share the context's caches,
-/// so a restart only recomputes the columns the deeper join actually adds.
-pub fn run_with_ctx(
-    graph: &Graph,
-    config: &NWayConfig,
-    query: &QueryGraph,
-    node_sets: &[NodeSet],
-    m: usize,
-    two_way: TwoWayAlgorithm,
     ctx: &mut QueryCtx,
 ) -> Result<NWayOutput> {
     query.validate_node_sets(node_sets)?;
@@ -115,7 +99,7 @@ pub fn run_with_ctx(
     for &(i, j) in query.edges() {
         let p = &node_sets[i];
         let q = &node_sets[j];
-        let out = two_way.top_k_with_ctx(graph, &two_way_config, p, q, m, ctx);
+        let out = bidj::top_k_y(graph, &two_way_config, p, q, m, None, ctx);
         stats.two_way_joins += 1;
         stats.two_way.absorb(&out.stats);
         lists.push(out.pairs);
@@ -124,7 +108,6 @@ pub fn run_with_ctx(
     let mut provider = RestartingProvider {
         graph,
         two_way_config,
-        two_way,
         node_sets,
         edges: query.edges().to_vec(),
         lists,
@@ -164,14 +147,15 @@ mod tests {
 
     #[test]
     fn matches_nl_and_ap_on_a_chain() {
+        let mut ctx = QueryCtx::one_shot();
         let (g, sets) = fixture();
         let query = QueryGraph::chain(3);
         for aggregate in [Aggregate::Min, Aggregate::Sum] {
             let config = NWayConfig::paper_default()
                 .with_k(5)
                 .with_aggregate(aggregate);
-            let reference = nl::run(&g, &config, &query, &sets, true).unwrap();
-            let pj = run(&g, &config, &query, &sets, 5, TwoWayAlgorithm::BackwardIdjY).unwrap();
+            let reference = nl::run(&g, &config, &query, &sets, true, &mut ctx).unwrap();
+            let pj = run(&g, &config, &query, &sets, 5, &mut ctx).unwrap();
             assert_eq!(reference.answers.len(), pj.answers.len());
             for (a, b) in reference.answers.iter().zip(pj.answers.iter()) {
                 assert!(
@@ -181,8 +165,9 @@ mod tests {
                     b.score
                 );
             }
-            let ap_out =
-                ap::run(&g, &config, &query, &sets, TwoWayAlgorithm::BackwardBasic).unwrap();
+            let (two_way, k) = (config.two_way(), config.k);
+            let ap_out = ap::run_over(&g, &two_way, &query, &sets, aggregate, k, &mut ctx);
+            let ap_out = ap_out.unwrap();
             for (a, b) in ap_out.answers.iter().zip(pj.answers.iter()) {
                 assert!((a.score - b.score).abs() < 1e-9);
             }
@@ -191,11 +176,12 @@ mod tests {
 
     #[test]
     fn small_m_forces_next_pair_calls_but_keeps_answers_correct() {
+        let mut ctx = QueryCtx::one_shot();
         let (g, sets) = fixture();
         let query = QueryGraph::chain(3);
         let config = NWayConfig::paper_default().with_k(8);
-        let reference = nl::run(&g, &config, &query, &sets, true).unwrap();
-        let pj = run(&g, &config, &query, &sets, 2, TwoWayAlgorithm::BackwardIdjY).unwrap();
+        let reference = nl::run(&g, &config, &query, &sets, true, &mut ctx).unwrap();
+        let pj = run(&g, &config, &query, &sets, 2, &mut ctx).unwrap();
         assert!(
             pj.stats.next_pair_calls > 0,
             "m=2 must exhaust the initial lists"
@@ -208,37 +194,23 @@ mod tests {
 
     #[test]
     fn large_m_avoids_next_pair_calls() {
+        let mut ctx = QueryCtx::one_shot();
         let (g, sets) = fixture();
         let query = QueryGraph::chain(3);
         let config = NWayConfig::paper_default().with_k(3);
-        let pj = run(
-            &g,
-            &config,
-            &query,
-            &sets,
-            100,
-            TwoWayAlgorithm::BackwardIdjY,
-        )
-        .unwrap();
+        let pj = run(&g, &config, &query, &sets, 100, &mut ctx).unwrap();
         assert_eq!(pj.stats.next_pair_calls, 0);
         assert_eq!(pj.answers.len(), 3);
     }
 
     #[test]
     fn triangle_query_matches_nl() {
+        let mut ctx = QueryCtx::one_shot();
         let (g, sets) = fixture();
         let query = QueryGraph::triangle();
         let config = NWayConfig::paper_default().with_k(4);
-        let reference = nl::run(&g, &config, &query, &sets, true).unwrap();
-        let pj = run(
-            &g,
-            &config,
-            &query,
-            &sets,
-            10,
-            TwoWayAlgorithm::BackwardIdjY,
-        )
-        .unwrap();
+        let reference = nl::run(&g, &config, &query, &sets, true, &mut ctx).unwrap();
+        let pj = run(&g, &config, &query, &sets, 10, &mut ctx).unwrap();
         assert_eq!(reference.answers.len(), pj.answers.len());
         for (a, b) in reference.answers.iter().zip(pj.answers.iter()) {
             assert!((a.score - b.score).abs() < 1e-9, "{a:?} vs {b:?}");
@@ -247,19 +219,12 @@ mod tests {
 
     #[test]
     fn m_zero_starts_from_empty_lists() {
+        let mut ctx = QueryCtx::one_shot();
         let (g, sets) = fixture();
         let query = QueryGraph::chain(2);
         let config = NWayConfig::paper_default().with_k(3);
-        let reference = nl::run(&g, &config, &query, &sets[..2], true).unwrap();
-        let pj = run(
-            &g,
-            &config,
-            &query,
-            &sets[..2],
-            0,
-            TwoWayAlgorithm::BackwardIdjY,
-        )
-        .unwrap();
+        let reference = nl::run(&g, &config, &query, &sets[..2], true, &mut ctx).unwrap();
+        let pj = run(&g, &config, &query, &sets[..2], 0, &mut ctx).unwrap();
         assert_eq!(reference.answers.len(), pj.answers.len());
         for (a, b) in reference.answers.iter().zip(pj.answers.iter()) {
             assert!((a.score - b.score).abs() < 1e-9);

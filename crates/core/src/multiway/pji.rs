@@ -19,7 +19,7 @@ use dht_walks::QueryCtx;
 use crate::answer::PairScore;
 use crate::query::QueryGraph;
 use crate::stats::NWayStats;
-use crate::twoway::{bidj, BoundKind, IncrementalState};
+use crate::twoway::{bidj, IncrementalState};
 use crate::Result;
 
 use super::pbrj::{self, EdgeListProvider};
@@ -47,7 +47,7 @@ impl EdgeListProvider for IncrementalProvider<'_> {
         let state = &mut self.states[edge];
         let walks_before = state.refinement_walks();
         let steps_before = state.refinement_steps();
-        let next = state.next_pair_with_ctx(self.graph, self.ctx);
+        let next = state.next_pair(self.graph, self.ctx);
         stats.two_way.walk_invocations += state.refinement_walks() - walks_before;
         stats.two_way.walk_steps += state.refinement_steps() - steps_before;
         match next {
@@ -64,29 +64,11 @@ impl EdgeListProvider for IncrementalProvider<'_> {
     }
 }
 
-/// Runs PJ-i as a one-shot call with the given `m`.  The inner 2-way join
-/// is always the modified B-IDJ-Y, as in the paper.
+/// Runs PJ-i with the given `m`.  The inner 2-way join is always the
+/// modified B-IDJ-Y, as in the paper.  The initial joins and the lazy
+/// refinement walks of `getNextNodePair` all share the context's
+/// backward-column and Y-table caches.
 pub fn run(
-    graph: &Graph,
-    config: &NWayConfig,
-    query: &QueryGraph,
-    node_sets: &[NodeSet],
-    m: usize,
-) -> Result<NWayOutput> {
-    run_with_ctx(
-        graph,
-        config,
-        query,
-        node_sets,
-        m,
-        &mut QueryCtx::one_shot(),
-    )
-}
-
-/// Runs PJ-i through a session context: the initial modified B-IDJ-Y joins
-/// and the lazy refinement walks of `getNextNodePair` all share the
-/// context's backward-column and Y-table caches.
-pub fn run_with_ctx(
     graph: &Graph,
     config: &NWayConfig,
     query: &QueryGraph,
@@ -104,16 +86,7 @@ pub fn run_with_ctx(
         let p = &node_sets[i];
         let q = &node_sets[j];
         let mut state = IncrementalState::new(config.params, config.d, p, q);
-        let out = bidj::top_k_with_ctx(
-            graph,
-            &two_way_config,
-            p,
-            q,
-            m,
-            BoundKind::Y,
-            Some(&mut state),
-            ctx,
-        );
+        let out = bidj::top_k_y(graph, &two_way_config, p, q, m, Some(&mut state), ctx);
         stats.two_way_joins += 1;
         stats.two_way.absorb(&out.stats);
         lists.push(out.pairs);
@@ -143,7 +116,6 @@ mod tests {
     use super::*;
     use crate::aggregate::Aggregate;
     use crate::multiway::{nl, pj};
-    use crate::twoway::TwoWayAlgorithm;
     use dht_graph::generators::{planted_partition, PlantedPartitionConfig};
 
     fn fixture() -> (Graph, Vec<NodeSet>) {
@@ -160,14 +132,15 @@ mod tests {
 
     #[test]
     fn matches_nl_on_chains_for_both_aggregates() {
+        let mut ctx = QueryCtx::one_shot();
         let (g, sets) = fixture();
         let query = QueryGraph::chain(3);
         for aggregate in [Aggregate::Min, Aggregate::Sum] {
             let config = NWayConfig::paper_default()
                 .with_k(6)
                 .with_aggregate(aggregate);
-            let reference = nl::run(&g, &config, &query, &sets[..3], true).unwrap();
-            let pji = run(&g, &config, &query, &sets[..3], 5).unwrap();
+            let reference = nl::run(&g, &config, &query, &sets[..3], true, &mut ctx).unwrap();
+            let pji = run(&g, &config, &query, &sets[..3], 5, &mut ctx).unwrap();
             assert_eq!(reference.answers.len(), pji.answers.len());
             for (a, b) in reference.answers.iter().zip(pji.answers.iter()) {
                 assert!(
@@ -182,11 +155,12 @@ mod tests {
 
     #[test]
     fn matches_pj_with_the_same_m() {
+        let mut ctx = QueryCtx::one_shot();
         let (g, sets) = fixture();
         let query = QueryGraph::chain(4);
         let config = NWayConfig::paper_default().with_k(5);
-        let pj_out = pj::run(&g, &config, &query, &sets, 3, TwoWayAlgorithm::BackwardIdjY).unwrap();
-        let pji_out = run(&g, &config, &query, &sets, 3).unwrap();
+        let pj_out = pj::run(&g, &config, &query, &sets, 3, &mut ctx).unwrap();
+        let pji_out = run(&g, &config, &query, &sets, 3, &mut ctx).unwrap();
         assert_eq!(pj_out.answers.len(), pji_out.answers.len());
         for (a, b) in pj_out.answers.iter().zip(pji_out.answers.iter()) {
             assert!((a.score - b.score).abs() < 1e-9, "{a:?} vs {b:?}");
@@ -195,14 +169,15 @@ mod tests {
 
     #[test]
     fn small_m_uses_the_incremental_structure_instead_of_rejoining() {
+        let mut ctx = QueryCtx::one_shot();
         let (g, sets) = fixture();
         let query = QueryGraph::chain(3);
         let config = NWayConfig::paper_default().with_k(8);
-        let pji_out = run(&g, &config, &query, &sets[..3], 2).unwrap();
+        let pji_out = run(&g, &config, &query, &sets[..3], 2, &mut ctx).unwrap();
         assert!(pji_out.stats.next_pair_calls > 0);
         // only the initial |E_Q| joins were run; next pairs came from F
         assert_eq!(pji_out.stats.two_way_joins, query.edge_count() as u64);
-        let reference = nl::run(&g, &config, &query, &sets[..3], true).unwrap();
+        let reference = nl::run(&g, &config, &query, &sets[..3], true, &mut ctx).unwrap();
         for (a, b) in reference.answers.iter().zip(pji_out.answers.iter()) {
             assert!((a.score - b.score).abs() < 1e-9);
         }
@@ -210,11 +185,12 @@ mod tests {
 
     #[test]
     fn triangle_and_star_queries_match_nl() {
+        let mut ctx = QueryCtx::one_shot();
         let (g, sets) = fixture();
         let config = NWayConfig::paper_default().with_k(4);
         for query in [QueryGraph::triangle(), QueryGraph::star(3)] {
-            let reference = nl::run(&g, &config, &query, &sets[..3], true).unwrap();
-            let pji_out = run(&g, &config, &query, &sets[..3], 6).unwrap();
+            let reference = nl::run(&g, &config, &query, &sets[..3], true, &mut ctx).unwrap();
+            let pji_out = run(&g, &config, &query, &sets[..3], 6, &mut ctx).unwrap();
             assert_eq!(reference.answers.len(), pji_out.answers.len());
             for (a, b) in reference.answers.iter().zip(pji_out.answers.iter()) {
                 assert!((a.score - b.score).abs() < 1e-9);

@@ -20,35 +20,12 @@ use dht_walks::QueryCtx;
 
 use crate::stats::TwoWayStats;
 
-use super::{finalize_pairs, ColumnSource, TwoWayConfig, TwoWayOutput};
+use super::{finalize_pairs, ColumnSource, TwoWayOutput};
 
-/// Runs B-BJ as a one-shot call and returns the top-`k` pairs.
-pub fn top_k(
-    graph: &Graph,
-    config: &TwoWayConfig,
-    p: &NodeSet,
-    q: &NodeSet,
-    k: usize,
-) -> TwoWayOutput {
-    top_k_with_ctx(graph, config, p, q, k, &mut QueryCtx::one_shot())
-}
-
-/// Runs B-BJ through a session context: the per-target backward columns are
-/// served from (and fill) the context's cache, so a repeated-target query
-/// stream pays each `O(d·|E_G|)` walk only once.
-pub fn top_k_with_ctx(
-    graph: &Graph,
-    config: &TwoWayConfig,
-    p: &NodeSet,
-    q: &NodeSet,
-    k: usize,
-    ctx: &mut QueryCtx,
-) -> TwoWayOutput {
-    top_k_over(graph, config, p, q, k, ctx)
-}
-
-/// Runs B-BJ over any [`ColumnSource`]: one exact column per target.
-pub fn top_k_over<S: ColumnSource>(
+/// Runs B-BJ over any [`ColumnSource`]: one exact column per target.  The
+/// columns are served from (and fill) the context's cache, so a
+/// repeated-target query stream pays each `O(d·|E_G|)` walk only once.
+pub fn top_k<S: ColumnSource>(
     graph: &Graph,
     source: &S,
     p: &NodeSet,
@@ -77,16 +54,10 @@ pub fn top_k_over<S: ColumnSource>(
     }
 }
 
-/// Complete sorted list of all pairs, computed backwards (a faster drop-in
-/// for [`super::fbj::all_pairs`] when the caller needs every score).
-pub fn all_pairs(graph: &Graph, config: &TwoWayConfig, p: &NodeSet, q: &NodeSet) -> TwoWayOutput {
-    top_k(graph, config, p, q, p.len() * q.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::twoway::fbj;
+    use crate::twoway::{fbj, TwoWayConfig};
     use dht_graph::generators::{barabasi_albert, erdos_renyi};
     use dht_graph::{NodeId, NodeSet};
 
@@ -102,8 +73,8 @@ mod tests {
         let g = erdos_renyi(30, 90, 21);
         let cfg = TwoWayConfig::paper_default();
         let (p, q) = sets(&[0, 1, 2, 3, 4, 5], &[20, 21, 22, 23]);
-        let forward = fbj::top_k(&g, &cfg, &p, &q, 8);
-        let backward = top_k(&g, &cfg, &p, &q, 8);
+        let forward = fbj::top_k(&g, &cfg, &p, &q, 8, &mut QueryCtx::one_shot());
+        let backward = top_k(&g, &cfg, &p, &q, 8, &mut QueryCtx::one_shot());
         assert_eq!(forward.pairs.len(), backward.pairs.len());
         for (f, b) in forward.pairs.iter().zip(backward.pairs.iter()) {
             assert!((f.score - b.score).abs() < 1e-10, "{f:?} vs {b:?}");
@@ -116,8 +87,8 @@ mod tests {
         let g = barabasi_albert(80, 3, 5);
         let cfg = TwoWayConfig::new(dht_walks::DhtParams::dht_e(), 6);
         let (p, q) = sets(&[0, 5, 10, 15], &[40, 41, 42]);
-        let forward = fbj::top_k(&g, &cfg, &p, &q, 12);
-        let backward = top_k(&g, &cfg, &p, &q, 12);
+        let forward = fbj::top_k(&g, &cfg, &p, &q, 12, &mut QueryCtx::one_shot());
+        let backward = top_k(&g, &cfg, &p, &q, 12, &mut QueryCtx::one_shot());
         for (f, b) in forward.pairs.iter().zip(backward.pairs.iter()) {
             assert!((f.score - b.score).abs() < 1e-10);
         }
@@ -128,7 +99,7 @@ mod tests {
         let g = erdos_renyi(25, 60, 9);
         let cfg = TwoWayConfig::paper_default();
         let (p, q) = sets(&[0, 1, 2, 3, 4, 5, 6, 7], &[20, 21, 22]);
-        let out = top_k(&g, &cfg, &p, &q, 5);
+        let out = top_k(&g, &cfg, &p, &q, 5, &mut QueryCtx::one_shot());
         assert_eq!(out.stats.walk_invocations, 3, "one backward walk per q");
         assert_eq!(out.stats.pairs_scored, 24);
     }
@@ -138,7 +109,7 @@ mod tests {
         let g = erdos_renyi(10, 30, 3);
         let cfg = TwoWayConfig::paper_default();
         let (p, q) = sets(&[0, 1, 2], &[2, 3]);
-        let out = top_k(&g, &cfg, &p, &q, 10);
+        let out = top_k(&g, &cfg, &p, &q, 10, &mut QueryCtx::one_shot());
         assert_eq!(out.pairs.len(), 5);
         assert!(out.pairs.iter().all(|pr| pr.left != pr.right));
     }

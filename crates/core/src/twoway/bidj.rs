@@ -1,10 +1,12 @@
 //! B-IDJ: the Backward Iterative Deepening Join (Algorithm 2), with the two
 //! upper-bound strategies of Section VI-C:
 //!
-//! * **B-IDJ-X** uses the parameter-only geometric tail `X_l⁺` (Lemma 2);
-//! * **B-IDJ-Y** uses the reachability-aware bound `Y_l⁺(P, q)` (Theorem 1),
-//!   which is never looser than `X_l⁺` (Lemma 5) and prunes far more
-//!   aggressively in practice, especially at large `λ`.
+//! * **B-IDJ-X** ([`top_k_x`]) uses the parameter-only geometric tail
+//!   `X_l⁺` (Lemma 2), so it runs over any [`ColumnSource`];
+//! * **B-IDJ-Y** ([`top_k_y`]) uses the reachability-aware bound
+//!   `Y_l⁺(P, q)` (Theorem 1), which is never looser than `X_l⁺` (Lemma 5)
+//!   and prunes far more aggressively in practice, especially at large `λ`.
+//!   The bound is DHT's, so it runs over [`TwoWayConfig`].
 //!
 //! `⌊log d⌋` iterations are performed.  In iteration `j` every still-alive
 //! target `q` runs an `l = 2^{j-1}`-step backward walk; the truncated scores
@@ -13,7 +15,7 @@
 //! the `k`-th best lower bound are pruned.  A final `d`-step walk over the
 //! survivors produces the exact answer.
 //!
-//! When an [`IncrementalState`] is supplied (the PJ-i path), every
+//! When B-IDJ-Y is given an [`IncrementalState`] (the PJ-i path), every
 //! `(p, q)` bound computed along the way is recorded in the mutable priority
 //! structure `F`, so that later `getNextNodePair` calls can be answered
 //! without restarting the join from scratch (Section VI-D).
@@ -31,88 +33,10 @@ use crate::stats::TwoWayStats;
 use super::incremental::IncrementalState;
 use super::{finalize_pairs, ColumnSource, TwoWayConfig, TwoWayOutput};
 
-/// Which upper-bound function `U_l⁺` drives the pruning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BoundKind {
-    /// The geometric tail `X_l⁺` of Lemma 2 (B-IDJ-X).
-    X,
-    /// The reachability-aware `Y_l⁺(P, q)` of Theorem 1 (B-IDJ-Y).
-    Y,
-}
-
-/// Runs B-IDJ as a one-shot call with the chosen bound and returns the
-/// top-`k` pairs.
-///
-/// If `incremental` is provided, the per-pair bound information computed
-/// during the run is recorded there (the `F` structure of PJ-i) and the
-/// emitted top-`k` pairs are marked as already returned.
-pub fn top_k(
-    graph: &Graph,
-    config: &TwoWayConfig,
-    p: &NodeSet,
-    q: &NodeSet,
-    k: usize,
-    bound: BoundKind,
-    incremental: Option<&mut IncrementalState<'_>>,
-) -> TwoWayOutput {
-    top_k_with_ctx(
-        graph,
-        config,
-        p,
-        q,
-        k,
-        bound,
-        incremental,
-        &mut QueryCtx::one_shot(),
-    )
-}
-
-/// Runs B-IDJ through a session context: the backward columns of every
-/// deepening level and the `Y_l⁺` table are served from (and fill) the
-/// context's caches.
-#[allow(clippy::too_many_arguments)]
-pub fn top_k_with_ctx(
-    graph: &Graph,
-    config: &TwoWayConfig,
-    p: &NodeSet,
-    q: &NodeSet,
-    k: usize,
-    bound: BoundKind,
-    mut incremental: Option<&mut IncrementalState<'_>>,
-    ctx: &mut QueryCtx,
-) -> TwoWayOutput {
-    let params = &config.params;
-    let d = config.d;
-    let mut stats = TwoWayStats::default();
-
-    // The Y bound needs one d-step forward sweep seeded with all of P; a
-    // warm context serves it from the per-(params, d, engine, P) table
-    // cache.  The walk counters track the algorithm's logical work, so they
-    // are independent of cache temperature.
-    let y_table = match bound {
-        BoundKind::Y => {
-            stats.walk_invocations += 1;
-            stats.walk_steps += d as u64;
-            Some(ctx.y_bound_table(graph, params, p, d, config.engine, config.threads))
-        }
-        BoundKind::X => None,
-    };
-    if let Some(state) = incremental.as_deref_mut() {
-        assert!(state.is_over(p, q), "F was laid out for other node sets");
-        if let Some(table) = &y_table {
-            state.set_y_table(table.clone());
-            state.set_engine(config.engine);
-        }
-    }
-    let bound_at = |l: usize, qn: NodeId| match &y_table {
-        Some(table) => table.bound(l, qn),
-        None => config.tail_bound(l),
-    };
-    deepen(graph, config, p, q, k, bound_at, incremental, stats, ctx)
-}
-
-/// Runs B-IDJ-X over any [`ColumnSource`], pruning with its tail bound.
-pub fn top_k_x_over<S: ColumnSource>(
+/// Runs B-IDJ-X over any [`ColumnSource`], pruning with its tail bound
+/// `X_l⁺`, and returns the top-`k` pairs.  The columns of every deepening
+/// level are served from (and fill) the context's cache.
+pub fn top_k_x<S: ColumnSource>(
     graph: &Graph,
     source: &S,
     p: &NodeSet,
@@ -123,6 +47,42 @@ pub fn top_k_x_over<S: ColumnSource>(
     let bound_at = |l: usize, _: NodeId| source.tail_bound(l);
     let stats = TwoWayStats::default();
     deepen(graph, source, p, q, k, bound_at, None, stats, ctx)
+}
+
+/// Runs B-IDJ-Y over DHT, pruning with the reachability-aware `Y_l⁺(P, q)`,
+/// and returns the top-`k` pairs.  The columns of every deepening level and
+/// the `Y_l⁺` table are served from (and fill) the context's caches.
+///
+/// If `incremental` is provided, the per-pair bound information computed
+/// during the run is recorded there (the `F` structure of PJ-i) and the
+/// emitted top-`k` pairs are marked as already returned.
+pub fn top_k_y(
+    graph: &Graph,
+    config: &TwoWayConfig,
+    p: &NodeSet,
+    q: &NodeSet,
+    k: usize,
+    mut incremental: Option<&mut IncrementalState<'_>>,
+    ctx: &mut QueryCtx,
+) -> TwoWayOutput {
+    let d = config.d;
+    // The Y bound needs one d-step forward sweep seeded with all of P; a
+    // warm context serves it from the per-(params, d, engine, P) table
+    // cache.  The walk counters track the algorithm's logical work, so they
+    // are independent of cache temperature.
+    let stats = TwoWayStats {
+        walk_invocations: 1,
+        walk_steps: d as u64,
+        ..Default::default()
+    };
+    let y_table = ctx.y_bound_table(graph, &config.params, p, d, config.engine, config.threads);
+    if let Some(state) = incremental.as_deref_mut() {
+        assert!(state.is_over(p, q), "F was laid out for other node sets");
+        state.set_y_table(y_table.clone());
+        state.set_engine(config.engine);
+    }
+    let bound_at = |l: usize, qn: NodeId| y_table.bound(l, qn);
+    deepen(graph, config, p, q, k, bound_at, incremental, stats, ctx)
 }
 
 /// The deepening loop and final pass shared by every B-IDJ variant;
@@ -251,8 +211,8 @@ mod tests {
         let g = erdos_renyi(40, 120, 51);
         let cfg = TwoWayConfig::paper_default();
         let (p, q) = sets(&[0, 1, 2, 3, 4, 5], &[30, 31, 32, 33, 34, 35]);
-        let reference = bbj::top_k(&g, &cfg, &p, &q, 7);
-        let idj = top_k(&g, &cfg, &p, &q, 7, BoundKind::X, None);
+        let reference = bbj::top_k(&g, &cfg, &p, &q, 7, &mut QueryCtx::one_shot());
+        let idj = top_k_x(&g, &cfg, &p, &q, 7, &mut QueryCtx::one_shot());
         assert_eq!(reference.pairs.len(), idj.pairs.len());
         for (a, b) in reference.pairs.iter().zip(idj.pairs.iter()) {
             assert!((a.score - b.score).abs() < 1e-10, "{a:?} vs {b:?}");
@@ -265,8 +225,8 @@ mod tests {
         let cfg = TwoWayConfig::paper_default();
         let p = cg.community(0).clone();
         let q = cg.community(1).clone();
-        let reference = fbj::top_k(&cg.graph, &cfg, &p, &q, 10);
-        let idj = top_k(&cg.graph, &cfg, &p, &q, 10, BoundKind::Y, None);
+        let reference = fbj::top_k(&cg.graph, &cfg, &p, &q, 10, &mut QueryCtx::one_shot());
+        let idj = top_k_y(&cg.graph, &cfg, &p, &q, 10, None, &mut QueryCtx::one_shot());
         assert_eq!(reference.pairs.len(), idj.pairs.len());
         for (a, b) in reference.pairs.iter().zip(idj.pairs.iter()) {
             assert!((a.score - b.score).abs() < 1e-10, "{a:?} vs {b:?}");
@@ -279,8 +239,8 @@ mod tests {
         let cfg = TwoWayConfig::new(DhtParams::dht_lambda(0.5), 10);
         let p = cg.community(0).clone();
         let q = cg.community(2).clone();
-        let x = top_k(&cg.graph, &cfg, &p, &q, 5, BoundKind::X, None);
-        let y = top_k(&cg.graph, &cfg, &p, &q, 5, BoundKind::Y, None);
+        let x = top_k_x(&cg.graph, &cfg, &p, &q, 5, &mut QueryCtx::one_shot());
+        let y = top_k_y(&cg.graph, &cfg, &p, &q, 5, None, &mut QueryCtx::one_shot());
         // same answers
         for (a, b) in x.pairs.iter().zip(y.pairs.iter()) {
             assert!((a.score - b.score).abs() < 1e-10);
@@ -301,7 +261,7 @@ mod tests {
         let cfg = TwoWayConfig::paper_default();
         let p = cg.community(0).clone();
         let q = cg.community(1).clone();
-        let out = top_k(&cg.graph, &cfg, &p, &q, 5, BoundKind::Y, None);
+        let out = top_k_y(&cg.graph, &cfg, &p, &q, 5, None, &mut QueryCtx::one_shot());
         assert_eq!(out.stats.q_remaining_per_iteration[0], q.len());
         // remaining counts never increase
         for w in out.stats.q_remaining_per_iteration.windows(2) {
@@ -316,7 +276,8 @@ mod tests {
         let p = cg.community(0).clone();
         let q = cg.community(1).clone();
         let mut state = IncrementalState::new(cfg.params, cfg.d, &p, &q);
-        let out = top_k(&cg.graph, &cfg, &p, &q, 8, BoundKind::Y, Some(&mut state));
+        let ctx = &mut QueryCtx::one_shot();
+        let out = top_k_y(&cg.graph, &cfg, &p, &q, 8, Some(&mut state), ctx);
         assert_eq!(out.pairs.len(), 8);
         // every (p, q) pair has an entry recorded
         assert_eq!(state.len(), p.len() * q.len());
@@ -328,8 +289,9 @@ mod tests {
         let g = erdos_renyi(20, 60, 13);
         let cfg = TwoWayConfig::paper_default();
         let (p, q) = sets(&[0, 1, 2, 3], &[2, 3, 4, 5]);
-        for kind in [BoundKind::X, BoundKind::Y] {
-            let out = top_k(&g, &cfg, &p, &q, 20, kind, None);
+        let x = top_k_x(&g, &cfg, &p, &q, 20, &mut QueryCtx::one_shot());
+        let y = top_k_y(&g, &cfg, &p, &q, 20, None, &mut QueryCtx::one_shot());
+        for out in [x, y] {
             assert!(out.pairs.iter().all(|pr| pr.left != pr.right));
             assert_eq!(out.pairs.len(), 4 * 4 - 2);
         }
@@ -340,8 +302,8 @@ mod tests {
         let g = erdos_renyi(15, 45, 19);
         let cfg = TwoWayConfig::paper_default();
         let (p, q) = sets(&[0, 1, 2, 3], &[10]);
-        let out = top_k(&g, &cfg, &p, &q, 3, BoundKind::Y, None);
-        let reference = bbj::top_k(&g, &cfg, &p, &q, 3);
+        let out = top_k_y(&g, &cfg, &p, &q, 3, None, &mut QueryCtx::one_shot());
+        let reference = bbj::top_k(&g, &cfg, &p, &q, 3, &mut QueryCtx::one_shot());
         for (a, b) in reference.pairs.iter().zip(out.pairs.iter()) {
             assert!((a.score - b.score).abs() < 1e-10);
         }

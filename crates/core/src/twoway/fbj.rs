@@ -19,21 +19,10 @@ use crate::stats::TwoWayStats;
 
 use super::{finalize_pairs, TwoWayConfig, TwoWayOutput};
 
-/// Runs F-BJ as a one-shot call and returns the top-`k` pairs.
-pub fn top_k(
-    graph: &Graph,
-    config: &TwoWayConfig,
-    p: &NodeSet,
-    q: &NodeSet,
-    k: usize,
-) -> TwoWayOutput {
-    top_k_with_ctx(graph, config, p, q, k, &mut QueryCtx::one_shot())
-}
-
-/// Runs F-BJ through a session context.  Forward absorbing walks produce a
-/// single scalar per pair, so there is no column to cache — the context
+/// Runs F-BJ and returns the top-`k` pairs.  Forward absorbing walks produce
+/// a single scalar per pair, so there is no column to cache — the context
 /// contributes its scratch pool, keeping a query stream allocation-free.
-pub fn top_k_with_ctx(
+pub fn top_k(
     graph: &Graph,
     config: &TwoWayConfig,
     p: &NodeSet,
@@ -101,12 +90,6 @@ pub fn top_k_with_ctx(
     }
 }
 
-/// Computes the complete sorted list of all `|P|·|Q|` pairs (used by the AP
-/// n-way join, which needs every pair, not just the top-k).
-pub fn all_pairs(graph: &Graph, config: &TwoWayConfig, p: &NodeSet, q: &NodeSet) -> TwoWayOutput {
-    top_k(graph, config, p, q, p.len() * q.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,7 +110,7 @@ mod tests {
         let cfg = TwoWayConfig::paper_default();
         let (p, q) = sets(&[0, 1, 2, 3, 4], &[10, 11, 12, 13]);
         let oracle = all_pairs_dht(&g, &cfg.params, cfg.d);
-        let out = top_k(&g, &cfg, &p, &q, 5);
+        let out = top_k(&g, &cfg, &p, &q, 5, &mut QueryCtx::one_shot());
         assert_eq!(out.pairs.len(), 5);
         // collect oracle's top 5 scores over the same pair domain
         let mut expected: Vec<f64> = p
@@ -155,7 +138,7 @@ mod tests {
         let cfg = TwoWayConfig::paper_default();
         let p = NodeSet::new("P", [NodeId(0), NodeId(1)]);
         let q = NodeSet::new("Q", [NodeId(1), NodeId(2)]);
-        let out = top_k(&g, &cfg, &p, &q, 10);
+        let out = top_k(&g, &cfg, &p, &q, 10, &mut QueryCtx::one_shot());
         assert!(out.pairs.iter().all(|pr| pr.left != pr.right));
         assert_eq!(out.pairs.len(), 3);
     }
@@ -165,7 +148,7 @@ mod tests {
         let g = erdos_renyi(10, 20, 2);
         let cfg = TwoWayConfig::paper_default();
         let (p, q) = sets(&[0, 1], &[5, 6]);
-        let out = top_k(&g, &cfg, &p, &q, 100);
+        let out = top_k(&g, &cfg, &p, &q, 100, &mut QueryCtx::one_shot());
         assert_eq!(out.pairs.len(), 4);
     }
 
@@ -174,7 +157,7 @@ mod tests {
         let g = erdos_renyi(15, 40, 4);
         let cfg = TwoWayConfig::paper_default();
         let (p, q) = sets(&[0, 1, 2], &[8, 9]);
-        let out = top_k(&g, &cfg, &p, &q, 3);
+        let out = top_k(&g, &cfg, &p, &q, 3, &mut QueryCtx::one_shot());
         assert_eq!(out.stats.pairs_scored, 6);
         assert_eq!(out.stats.walk_invocations, 6);
         assert_eq!(out.stats.walk_steps, 6 * cfg.d as u64);
@@ -185,7 +168,14 @@ mod tests {
         let g = erdos_renyi(12, 30, 6);
         let cfg = TwoWayConfig::paper_default();
         let (p, q) = sets(&[0, 1, 2], &[6, 7, 8, 9]);
-        let out = all_pairs(&g, &cfg, &p, &q);
+        let out = top_k(
+            &g,
+            &cfg,
+            &p,
+            &q,
+            p.len() * q.len(),
+            &mut QueryCtx::one_shot(),
+        );
         assert_eq!(out.pairs.len(), 12);
     }
 }

@@ -23,21 +23,10 @@ use crate::stats::TwoWayStats;
 
 use super::{finalize_pairs, TwoWayConfig, TwoWayOutput};
 
-/// Runs F-IDJ as a one-shot call and returns the top-`k` pairs.
-pub fn top_k(
-    graph: &Graph,
-    config: &TwoWayConfig,
-    p: &NodeSet,
-    q: &NodeSet,
-    k: usize,
-) -> TwoWayOutput {
-    top_k_with_ctx(graph, config, p, q, k, &mut QueryCtx::one_shot())
-}
-
-/// Runs F-IDJ through a session context (the context contributes its
+/// Runs F-IDJ and returns the top-`k` pairs (the context contributes its
 /// scratch pool; forward walks produce per-pair scalars, so there is no
 /// column to cache).
-pub fn top_k_with_ctx(
+pub fn top_k(
     graph: &Graph,
     config: &TwoWayConfig,
     p: &NodeSet,
@@ -137,8 +126,8 @@ mod tests {
         let g = erdos_renyi(40, 120, 31);
         let cfg = TwoWayConfig::paper_default();
         let (p, q) = sets(&[0, 1, 2, 3, 4, 5, 6, 7], &[30, 31, 32, 33, 34]);
-        let reference = fbj::top_k(&g, &cfg, &p, &q, 6);
-        let idj = top_k(&g, &cfg, &p, &q, 6);
+        let reference = fbj::top_k(&g, &cfg, &p, &q, 6, &mut QueryCtx::one_shot());
+        let idj = top_k(&g, &cfg, &p, &q, 6, &mut QueryCtx::one_shot());
         assert_eq!(reference.pairs.len(), idj.pairs.len());
         for (a, b) in reference.pairs.iter().zip(idj.pairs.iter()) {
             assert!((a.score - b.score).abs() < 1e-10, "{a:?} vs {b:?}");
@@ -160,7 +149,7 @@ mod tests {
         let cfg = TwoWayConfig::paper_default();
         let p = NodeSet::new("P", cg.graph.nodes().take(60)); // communities 0 and 1
         let q = cg.community(0).clone();
-        let out = top_k(&cg.graph, &cfg, &p, &q, 5);
+        let out = top_k(&cg.graph, &cfg, &p, &q, 5, &mut QueryCtx::one_shot());
         let trace = &out.stats.q_remaining_per_iteration;
         assert!(trace.len() >= 2);
         assert!(
@@ -168,7 +157,7 @@ mod tests {
             "no sources were pruned: {trace:?}"
         );
         // correctness against the oracle
-        let reference = fbj::top_k(&cg.graph, &cfg, &p, &q, 5);
+        let reference = fbj::top_k(&cg.graph, &cfg, &p, &q, 5, &mut QueryCtx::one_shot());
         for (a, b) in reference.pairs.iter().zip(out.pairs.iter()) {
             assert!((a.score - b.score).abs() < 1e-10);
         }
@@ -179,7 +168,7 @@ mod tests {
         let g = erdos_renyi(12, 36, 8);
         let cfg = TwoWayConfig::paper_default();
         let (p, q) = sets(&[0, 1], &[6, 7]);
-        let out = top_k(&g, &cfg, &p, &q, 50);
+        let out = top_k(&g, &cfg, &p, &q, 50, &mut QueryCtx::one_shot());
         assert_eq!(out.pairs.len(), 4);
     }
 
@@ -188,8 +177,8 @@ mod tests {
         let g = erdos_renyi(10, 20, 5);
         let cfg = TwoWayConfig::paper_default();
         let (p, q) = sets(&[0], &[5, 6, 7]);
-        let out = top_k(&g, &cfg, &p, &q, 2);
-        let reference = fbj::top_k(&g, &cfg, &p, &q, 2);
+        let out = top_k(&g, &cfg, &p, &q, 2, &mut QueryCtx::one_shot());
+        let reference = fbj::top_k(&g, &cfg, &p, &q, 2, &mut QueryCtx::one_shot());
         for (a, b) in reference.pairs.iter().zip(out.pairs.iter()) {
             assert!((a.score - b.score).abs() < 1e-10);
         }

@@ -265,15 +265,10 @@ impl<'a> IncrementalState<'a> {
     }
 
     /// `getNextNodePair`: returns the non-emitted pair with the highest exact
-    /// score, refining bounds lazily as needed.  Returns `None` once every
+    /// score, refining bounds lazily as needed.  Refinement walks are served
+    /// from (and fill) the context's column cache.  Returns `None` once every
     /// recorded pair has been emitted.
-    pub fn next_pair(&mut self, graph: &Graph) -> Option<PairScore> {
-        self.next_pair_with_ctx(graph, &mut QueryCtx::one_shot())
-    }
-
-    /// [`IncrementalState::next_pair`] through a session context: refinement
-    /// walks are served from (and fill) the context's column cache.
-    pub fn next_pair_with_ctx(&mut self, graph: &Graph, ctx: &mut QueryCtx) -> Option<PairScore> {
+    pub fn next_pair(&mut self, graph: &Graph, ctx: &mut QueryCtx) -> Option<PairScore> {
         loop {
             let (cell, entry, second_upper) = self.best_candidate()?;
             let (source, target) = self.pair(cell);
@@ -296,7 +291,7 @@ impl<'a> IncrementalState<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::twoway::{bbj, bidj, BoundKind, TwoWayConfig};
+    use crate::twoway::{bbj, bidj, TwoWayConfig};
     use dht_graph::generators::{erdos_renyi, planted_partition, PlantedPartitionConfig};
     use dht_graph::NodeSet;
 
@@ -326,6 +321,7 @@ mod tests {
 
     #[test]
     fn next_pair_streams_the_exact_ranking() {
+        let mut ctx = QueryCtx::one_shot();
         // The pairs emitted by top-m + repeated next_pair calls must equal
         // the full ranking computed by B-BJ.
         let cg = planted_partition(&PlantedPartitionConfig {
@@ -341,15 +337,17 @@ mod tests {
         let q = cg.community(1).clone();
         let m = 10;
         let mut state = IncrementalState::new(cfg.params, cfg.d, &p, &q);
-        let top_m = bidj::top_k(&cg.graph, &cfg, &p, &q, m, BoundKind::Y, Some(&mut state));
+        let top_m = bidj::top_k_y(&cg.graph, &cfg, &p, &q, m, Some(&mut state), &mut ctx);
 
         let total = 40usize;
         let mut streamed: Vec<f64> = top_m.pairs.iter().map(|pr| pr.score).collect();
         while streamed.len() < total {
-            let pair = state.next_pair(&cg.graph).expect("entries remain");
+            let pair = state
+                .next_pair(&cg.graph, &mut ctx)
+                .expect("entries remain");
             streamed.push(pair.score);
         }
-        let reference = bbj::top_k(&cg.graph, &cfg, &p, &q, total);
+        let reference = bbj::top_k(&cg.graph, &cfg, &p, &q, total, &mut ctx);
         assert_eq!(reference.pairs.len(), total);
         for (i, (got, want)) in streamed.iter().zip(reference.pairs.iter()).enumerate() {
             assert!(
@@ -366,23 +364,25 @@ mod tests {
 
     #[test]
     fn next_pair_exhausts_and_returns_none() {
+        let mut ctx = QueryCtx::one_shot();
         let g = erdos_renyi(10, 30, 9);
         let cfg = TwoWayConfig::paper_default();
         let p = NodeSet::new("P", [NodeId(0), NodeId(1)]);
         let q = NodeSet::new("Q", [NodeId(5), NodeId(6)]);
         let mut state = IncrementalState::new(cfg.params, cfg.d, &p, &q);
-        let out = bidj::top_k(&g, &cfg, &p, &q, 2, BoundKind::Y, Some(&mut state));
+        let out = bidj::top_k_y(&g, &cfg, &p, &q, 2, Some(&mut state), &mut ctx);
         assert_eq!(out.pairs.len(), 2);
         let mut remaining = 0;
-        while state.next_pair(&g).is_some() {
+        while state.next_pair(&g, &mut ctx).is_some() {
             remaining += 1;
         }
         assert_eq!(remaining, 2, "4 pairs total, 2 already emitted");
-        assert!(state.next_pair(&g).is_none());
+        assert!(state.next_pair(&g, &mut ctx).is_none());
     }
 
     #[test]
     fn refinement_work_is_recorded() {
+        let mut ctx = QueryCtx::one_shot();
         let cg = planted_partition(&PlantedPartitionConfig {
             communities: 2,
             community_size: 25,
@@ -395,9 +395,9 @@ mod tests {
         let p = cg.community(0).clone();
         let q = cg.community(1).clone();
         let mut state = IncrementalState::new(cfg.params, cfg.d, &p, &q);
-        bidj::top_k(&cg.graph, &cfg, &p, &q, 3, BoundKind::Y, Some(&mut state));
+        bidj::top_k_y(&cg.graph, &cfg, &p, &q, 3, Some(&mut state), &mut ctx);
         for _ in 0..5 {
-            state.next_pair(&cg.graph);
+            state.next_pair(&cg.graph, &mut ctx);
         }
         // pulling beyond the top-3 list requires at least some refinement
         assert!(state.refinement_walks() > 0);
@@ -406,11 +406,12 @@ mod tests {
 
     #[test]
     fn empty_state_yields_nothing() {
+        let mut ctx = QueryCtx::one_shot();
         let g = erdos_renyi(5, 8, 1);
         let p = NodeSet::new("P", [NodeId(0), NodeId(1)]);
         let q = NodeSet::new("Q", [NodeId(1), NodeId(2)]);
         let mut state = IncrementalState::new(DhtParams::paper_default(), 4, &p, &q);
         assert!(state.is_empty());
-        assert!(state.next_pair(&g).is_none());
+        assert!(state.next_pair(&g, &mut ctx).is_none());
     }
 }

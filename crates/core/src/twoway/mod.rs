@@ -11,6 +11,10 @@
 //! backwards from each target `q` and obtain the scores of *all* sources at
 //! once, which is why they are roughly `|P|` times faster.  B-BJ, B-IDJ-X
 //! (and AP) run over any [`ColumnSource`], of which DHT is one.
+//!
+//! Each algorithm has one entry point, taking the [`QueryCtx`] its columns,
+//! bound tables and walk scratches come from as its last argument; a caller
+//! with no session passes [`QueryCtx::one_shot`], which allocates nothing.
 
 pub mod bbj;
 pub mod bidj;
@@ -24,7 +28,6 @@ use dht_walks::{x_upper_bound, DhtParams, QueryCtx, WalkEngine};
 use crate::answer::PairScore;
 use crate::stats::TwoWayStats;
 
-pub use bidj::BoundKind;
 pub use incremental::IncrementalState;
 
 /// Shared configuration of a 2-way join run.
@@ -136,23 +139,11 @@ impl TwoWayAlgorithm {
         }
     }
 
-    /// Runs the selected algorithm as a one-shot call (a fresh, cache-free
-    /// context per invocation).
-    pub fn top_k(
-        self,
-        graph: &Graph,
-        config: &TwoWayConfig,
-        p: &NodeSet,
-        q: &NodeSet,
-        k: usize,
-    ) -> TwoWayOutput {
-        self.top_k_with_ctx(graph, config, p, q, k, &mut QueryCtx::one_shot())
-    }
-
     /// Runs the selected algorithm through a session context: backward
     /// columns and Y-bound tables are served from (and fill) the context's
     /// caches, and walk scratches come from its pool.  Answers are
-    /// bit-identical to [`TwoWayAlgorithm::top_k`] at every cache state.
+    /// bit-identical at every cache state; [`QueryCtx::one_shot`] runs it
+    /// with no cache at all.
     pub fn top_k_with_ctx(
         self,
         graph: &Graph,
@@ -163,15 +154,11 @@ impl TwoWayAlgorithm {
         ctx: &mut QueryCtx,
     ) -> TwoWayOutput {
         match self {
-            TwoWayAlgorithm::ForwardBasic => fbj::top_k_with_ctx(graph, config, p, q, k, ctx),
-            TwoWayAlgorithm::ForwardIdj => fidj::top_k_with_ctx(graph, config, p, q, k, ctx),
-            TwoWayAlgorithm::BackwardBasic => bbj::top_k_with_ctx(graph, config, p, q, k, ctx),
-            TwoWayAlgorithm::BackwardIdjX => {
-                bidj::top_k_with_ctx(graph, config, p, q, k, BoundKind::X, None, ctx)
-            }
-            TwoWayAlgorithm::BackwardIdjY => {
-                bidj::top_k_with_ctx(graph, config, p, q, k, BoundKind::Y, None, ctx)
-            }
+            TwoWayAlgorithm::ForwardBasic => fbj::top_k(graph, config, p, q, k, ctx),
+            TwoWayAlgorithm::ForwardIdj => fidj::top_k(graph, config, p, q, k, ctx),
+            TwoWayAlgorithm::BackwardBasic => bbj::top_k(graph, config, p, q, k, ctx),
+            TwoWayAlgorithm::BackwardIdjX => bidj::top_k_x(graph, config, p, q, k, ctx),
+            TwoWayAlgorithm::BackwardIdjY => bidj::top_k_y(graph, config, p, q, k, None, ctx),
         }
     }
 }

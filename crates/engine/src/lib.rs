@@ -4,11 +4,11 @@
 //! hands out [`Session`]s that answer streams of two-way and n-way join
 //! queries while keeping all graph-lifetime walk state warm.
 //!
-//! The paper's algorithms are stateless — every call to a `dht-core` free
-//! function rebuilds its backward columns, `Y_l⁺` tables and scratch
-//! buffers from scratch.  That is the right shape for a one-shot
-//! experiment, but a service answering many users against one graph keeps
-//! paying for state it could reuse.  A [`Session`] owns a
+//! The paper's algorithms are stateless — every `dht-core` join run on a
+//! [`dht_walks::QueryCtx::one_shot`] context rebuilds its backward columns,
+//! `Y_l⁺` tables and scratch buffers from scratch.  That is the right shape
+//! for a one-shot experiment, but a service answering many users against
+//! one graph keeps paying for state it could reuse.  A [`Session`] owns a
 //! [`dht_walks::QueryCtx`]: a scratch pool, a byte-budgeted cache of
 //! backward DHT columns keyed by `(params, depth, engine, target)`, and
 //! lazily built Y-bound tables keyed by `(params, depth, engine, P)` — so a
@@ -29,10 +29,10 @@
 //! query streams.  With [`EngineConfig::shared_cache`] off, each session
 //! holds stores of its own, of the same types and budgets.
 //!
-//! Answers are **bit-identical** to the one-shot free functions at every
-//! cache state, thread count and session interleaving (the repository's
-//! cache-parity and concurrent-session proptests pin this): caching never
-//! changes results, only how often walks actually run.
+//! Answers are **bit-identical** to one-shot joins at every cache state,
+//! thread count and session interleaving (the repository's cache-parity
+//! and concurrent-session proptests pin this): caching never changes
+//! results, only how often walks actually run.
 //!
 //! ## Declarative queries and the planner
 //!
@@ -738,8 +738,9 @@ impl Session<'_> {
         self.ctx.clear();
     }
 
-    /// Direct access to the underlying context, for callers composing with
-    /// the `*_with_ctx` entry points of `dht-core` / `dht-measures`.
+    /// Direct access to the underlying context, for callers running a
+    /// `dht-core` join themselves (every join takes a context last) — for
+    /// example B-BJ over a `dht_measures::MeasureSource`.
     pub fn ctx_mut(&mut self) -> &mut QueryCtx {
         &mut self.ctx
     }
@@ -868,7 +869,8 @@ mod tests {
         for algorithm in TwoWayAlgorithm::ALL {
             for _ in 0..2 {
                 let warm = session.two_way(algorithm, &sets[0], &sets[1], 7);
-                let cold = algorithm.top_k(engine.graph(), &config, &sets[0], &sets[1], 7);
+                let (p, q, ctx) = (&sets[0], &sets[1], &mut QueryCtx::one_shot());
+                let cold = algorithm.top_k_with_ctx(engine.graph(), &config, p, q, 7, ctx);
                 assert_eq!(warm.pairs, cold.pairs, "{}", algorithm.name());
             }
         }
@@ -890,8 +892,9 @@ mod tests {
                 .n_way(algorithm, &query, &sets, Aggregate::Min, 5)
                 .unwrap();
             let config = engine.n_way_config(Aggregate::Min, 5);
+            let ctx = &mut QueryCtx::one_shot();
             let cold = algorithm
-                .run(engine.graph(), &config, &query, &sets)
+                .run_with_ctx(engine.graph(), &config, &query, &sets, ctx)
                 .unwrap();
             assert_eq!(warm.answers, cold.answers, "{}", algorithm.name());
         }

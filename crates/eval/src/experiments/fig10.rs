@@ -9,7 +9,8 @@
 //! 2 765) and more than B-BJ (1 140), and neither bound prunes anything in
 //! (b).
 
-use dht_core::twoway::{bidj, BoundKind, TwoWayAlgorithm, TwoWayConfig};
+use dht_core::twoway::{TwoWayAlgorithm, TwoWayConfig};
+use dht_core::QueryCtx;
 use dht_datasets::Scale;
 use dht_walks::DhtParams;
 
@@ -66,15 +67,19 @@ pub fn run(scale: Scale) -> Outcome {
     let params = DhtParams::dht_lambda(0.7);
     let d = params.depth_for_epsilon(1e-6).expect("valid epsilon");
     let config = TwoWayConfig::new(params, d);
-    let pruned = |bound| {
+    let pruned = |algorithm: TwoWayAlgorithm| {
         let (p, q) = runs.sets();
-        let out = bidj::top_k(&dataset.graph, &config, p, q, 50, bound, None);
+        let ctx = &mut QueryCtx::one_shot();
+        let out = algorithm.top_k_with_ctx(&dataset.graph, &config, p, q, 50, ctx);
         let fractions = out.stats.pruned_fraction_per_iteration();
         (0..4)
             .map(|i| fractions.get(i).copied().unwrap_or(1.0))
             .collect::<Vec<f64>>()
     };
-    let (x, y) = (pruned(BoundKind::X), pruned(BoundKind::Y));
+    let (x, y) = (
+        pruned(TwoWayAlgorithm::BackwardIdjX),
+        pruned(TwoWayAlgorithm::BackwardIdjY),
+    );
     let rows: Vec<Vec<String>> = (0..4)
         .map(|i| {
             let percent = |f: f64| format!("{:.1}", f * 100.0);

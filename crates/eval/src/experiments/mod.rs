@@ -36,7 +36,7 @@ use std::collections::BTreeSet;
 
 use dht_core::multiway::{NWayAlgorithm, NWayConfig};
 use dht_core::twoway::{TwoWayAlgorithm, TwoWayConfig};
-use dht_core::{QueryGraph, TwoWayStats};
+use dht_core::{QueryCtx, QueryGraph, TwoWayStats};
 use dht_datasets::{Dataset, Scale};
 use dht_graph::NodeSet;
 
@@ -162,7 +162,8 @@ impl<'a> TwoWayRuns<'a> {
         join: &TwoWayConfig,
         k: usize,
     ) {
-        let out = algorithm.top_k(&self.dataset.graph, join, &self.p, &self.q, k);
+        let (graph, ctx) = (&self.dataset.graph, &mut QueryCtx::one_shot());
+        let out = algorithm.top_k_with_ctx(graph, join, &self.p, &self.q, k, ctx);
         self.runs.push(Run {
             panel,
             config,
@@ -307,7 +308,7 @@ pub(crate) fn nway_sweeps(
                    query: &QueryGraph,
                    sets: &[NodeSet]| {
         let out = algorithm
-            .run(&dataset.graph, join, query, sets)
+            .run_with_ctx(&dataset.graph, join, query, sets, &mut QueryCtx::one_shot())
             .expect("experiment query graphs and node sets are valid");
         runs.push(Run {
             panel,

@@ -9,7 +9,7 @@
 //! checks as `triangle_and_chain_rank_differently`.
 
 use dht_core::multiway::{NWayAlgorithm, NWayConfig};
-use dht_core::QueryGraph;
+use dht_core::{QueryCtx, QueryGraph};
 use dht_datasets::Scale;
 
 use crate::{report, workloads};
@@ -35,7 +35,13 @@ pub fn run(scale: Scale) -> Outcome {
         ("Chain", QueryGraph::chain(3)),
     ] {
         let result = algorithm
-            .run(&dataset.graph, &config, &query, &sets)
+            .run_with_ctx(
+                &dataset.graph,
+                &config,
+                &query,
+                &sets,
+                &mut QueryCtx::one_shot(),
+            )
             .expect("table III query is valid");
         let mut rows = Vec::new();
         for (rank, answer) in result.answers.iter().enumerate() {

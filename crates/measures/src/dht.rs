@@ -1,7 +1,7 @@
 //! The paper's own DHT exposed through the [`ProximityMeasure`] traits.
 //!
-//! This adapter lets the measure joins of [`crate::join`] and the comparison
-//! experiments treat DHT, Personalized PageRank, SimRank, … uniformly.  It
+//! This adapter lets the joins over a [`crate::MeasureSource`] and the
+//! comparison experiments treat DHT, Personalized PageRank, SimRank, … uniformly.  It
 //! delegates to the walk engines of `dht-walks`, so the scores are exactly
 //! the ones the dedicated join algorithms in `dht-core` compute.
 

@@ -28,9 +28,6 @@ pub enum MeasureError {
         /// The configured limit.
         limit: usize,
     },
-    /// An n-way join was configured inconsistently (delegates to the same
-    /// validation as `dht-core`); the string carries the underlying reason.
-    InvalidJoin(String),
 }
 
 impl fmt::Display for MeasureError {
@@ -47,7 +44,6 @@ impl fmt::Display for MeasureError {
                 "graph has {nodes} nodes but the dense solver is limited to {limit}; \
                  raise the limit explicitly or use the Monte-Carlo estimator"
             ),
-            MeasureError::InvalidJoin(reason) => write!(f, "invalid join configuration: {reason}"),
         }
     }
 }
@@ -76,8 +72,5 @@ mod tests {
         }
         .to_string()
         .contains("10"));
-        assert!(MeasureError::InvalidJoin("empty".into())
-            .to_string()
-            .contains("empty"));
     }
 }

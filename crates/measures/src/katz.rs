@@ -171,8 +171,10 @@ impl ProximityMeasure for KatzIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::join::{measure_two_way_top_k, measure_two_way_top_k_pruned};
     use crate::measure::IterativeMeasure;
+    use crate::MeasureSource;
+    use dht_core::twoway::{bbj, bidj};
+    use dht_core::QueryCtx;
     use dht_graph::{GraphBuilder, NodeSet};
 
     fn path(n: usize) -> Graph {
@@ -280,9 +282,13 @@ mod tests {
         let q = NodeSet::new("Q", (3..6).map(NodeId));
         for mode in [KatzMode::Transition, KatzMode::Weighted] {
             let m = KatzIndex::new(0.3, 6, mode).unwrap();
-            let basic = measure_two_way_top_k(&g, &m, &p, &q, 4);
-            let pruned = measure_two_way_top_k_pruned(&g, &m, &p, &q, 4);
-            assert_eq!(basic, pruned, "{mode:?}");
+            let (source, ctx) = (
+                MeasureSource::new(&m, WalkEngine::default(), 1),
+                &mut QueryCtx::one_shot(),
+            );
+            let basic = bbj::top_k(&g, &source, &p, &q, 4, ctx);
+            let pruned = bidj::top_k_x(&g, &source, &p, &q, 4, ctx);
+            assert_eq!(basic.pairs, pruned.pairs, "{mode:?}");
         }
     }
 }

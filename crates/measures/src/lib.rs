@@ -21,9 +21,13 @@
 //! * [`pathsim`] — a PathSim-style normalised walk-count similarity adapted
 //!   to homogeneous graphs (Sun et al., VLDB 2011);
 //! * [`katz`] — the truncated Katz index, the classical link-prediction
-//!   baseline, in transition-normalised and raw-weighted variants;
-//! * [`join`] — entry points that hand a measure's source to `dht-core`'s
-//!   B-BJ, B-IDJ-X and AP: the measures run the very joins DHT runs.
+//!   baseline, in transition-normalised and raw-weighted variants.
+//!
+//! There is no join code here: a measure runs the very joins DHT runs.
+//! Hand `MeasureSource::new(&measure, engine, threads)` to `dht-core`'s
+//! `bbj::top_k`, `bidj::top_k_x` or `ap::run_over` together with a
+//! `QueryCtx` — a session's, so its columns share the session cache, or
+//! `QueryCtx::one_shot()`.
 //!
 //! The walk-based measures build their columns on `dht-walks`' kernel, as
 //! DHT does.  Every solver is deterministic: Monte-Carlo estimators take
@@ -35,7 +39,6 @@
 pub mod dht;
 pub mod error;
 pub mod hitting_time;
-pub mod join;
 pub mod katz;
 pub mod measure;
 pub mod pathsim;
@@ -45,10 +48,6 @@ pub mod simrank;
 pub use dht::DhtMeasure;
 pub use error::MeasureError;
 pub use hitting_time::TruncatedHittingTime;
-pub use join::{
-    measure_nway_top_k, measure_nway_top_k_threaded, measure_two_way_top_k,
-    measure_two_way_top_k_pruned, measure_two_way_top_k_threaded, MeasureNWayOutput, MeasurePair,
-};
 pub use katz::{KatzIndex, KatzMode};
 pub use measure::{IterativeMeasure, MeasureSource, ProximityMeasure};
 pub use pathsim::PathSim;

@@ -170,8 +170,13 @@ impl<M: ProximityMeasure + Sync + ?Sized> ColumnSource for MeasureSource<'_, M> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{KatzIndex, KatzMode, PathSim, PersonalizedPageRank, TruncatedHittingTime};
-    use dht_graph::GraphBuilder;
+    use crate::{
+        DhtMeasure, KatzIndex, KatzMode, PathSim, PersonalizedPageRank, TruncatedHittingTime,
+    };
+    use dht_core::multiway::ap;
+    use dht_core::twoway::{bbj, bidj};
+    use dht_core::{Aggregate, CoreError, QueryGraph};
+    use dht_graph::{GraphBuilder, NodeSet};
     use dht_walks::backward::backward_hitting_probabilities;
     use dht_walks::EdgeValues;
     use rand::rngs::StdRng;
@@ -386,6 +391,281 @@ mod tests {
                     assert_eq!(got, bits(want), "{name}, seed {seed}, target {v:?}");
                 }
             }
+        }
+    }
+
+    // ---- The joins over a MeasureSource: core's B-BJ, B-IDJ-X and AP. ----
+
+    /// A two-community graph: 0-4 densely connected, 5-9 densely connected,
+    /// with a single bridge 4-5.  Edge weights vary so that scores have no
+    /// exact ties and result orders are unambiguous.
+    fn two_communities() -> Graph {
+        let mut b = GraphBuilder::with_nodes(10);
+        for base in [0u32, 5u32] {
+            for i in 0..5 {
+                for j in (i + 1)..5 {
+                    let w = 1.0 + 0.31 * f64::from(base + i) + 0.17 * f64::from(j);
+                    b.add_undirected_edge(NodeId(base + i), NodeId(base + j), w)
+                        .unwrap();
+                }
+            }
+        }
+        b.add_undirected_edge(NodeId(4), NodeId(5), 1.0).unwrap();
+        b.build().unwrap()
+    }
+
+    fn sets() -> (NodeSet, NodeSet, NodeSet) {
+        (
+            NodeSet::new("A", (0..3).map(NodeId)),
+            NodeSet::new("B", (3..7).map(NodeId)),
+            NodeSet::new("C", (7..10).map(NodeId)),
+        )
+    }
+
+    /// The source of `measure` on the default engine, serial.
+    fn serial<M: ?Sized>(measure: &M) -> MeasureSource<'_, M> {
+        MeasureSource::new(measure, WalkEngine::default(), 1)
+    }
+
+    /// Brute-force reference: score every pair with the single-pair method.
+    fn brute_force(
+        graph: &Graph,
+        measure: &impl ProximityMeasure,
+        p: &NodeSet,
+        q: &NodeSet,
+        k: usize,
+    ) -> Vec<(u32, u32, f64)> {
+        let mut all: Vec<(u32, u32, f64)> = p
+            .iter()
+            .flat_map(|a| q.iter().map(move |b| (a, b)))
+            .filter(|(a, b)| a != b)
+            .map(|(a, b)| (a.0, b.0, measure.score(graph, a, b)))
+            .collect();
+        all.sort_by(|x, y| {
+            y.2.total_cmp(&x.2)
+                .then_with(|| (x.0, x.1).cmp(&(y.0, y.1)))
+        });
+        all.truncate(k);
+        all
+    }
+
+    #[test]
+    fn basic_join_matches_brute_force_for_ppr() {
+        let g = two_communities();
+        let (a, b, _) = sets();
+        let m = PersonalizedPageRank::new(0.8, 8).unwrap();
+        let fast = bbj::top_k(&g, &serial(&m), &a, &b, 5, &mut QueryCtx::one_shot()).pairs;
+        let slow = brute_force(&g, &m, &a, &b, 5);
+        assert_eq!(fast.len(), 5);
+        for (pair, (l, r, s)) in fast.iter().zip(slow.iter()) {
+            assert_eq!((pair.left.0, pair.right.0), (*l, *r));
+            assert!((pair.score - s).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn pruned_join_agrees_with_basic_join() {
+        let g = two_communities();
+        let (a, b, c) = sets();
+        let mut ctx = QueryCtx::one_shot();
+        for k in [1, 3, 8, 50] {
+            let dht = DhtMeasure::paper_default();
+            let basic = bbj::top_k(&g, &serial(&dht), &a, &c, k, &mut ctx).pairs;
+            let pruned = bidj::top_k_x(&g, &serial(&dht), &a, &c, k, &mut ctx).pairs;
+            assert_eq!(basic.len(), pruned.len(), "k={k}");
+            for (x, y) in basic.iter().zip(pruned.iter()) {
+                assert_eq!((x.left, x.right), (y.left, y.right), "k={k}");
+                assert!((x.score - y.score).abs() < 1e-12);
+            }
+
+            let ppr = PersonalizedPageRank::new(0.85, 10).unwrap();
+            let basic = bbj::top_k(&g, &serial(&ppr), &b, &c, k, &mut ctx).pairs;
+            let pruned = bidj::top_k_x(&g, &serial(&ppr), &b, &c, k, &mut ctx).pairs;
+            assert_eq!(basic, pruned, "PPR disagreement at k={k}");
+        }
+    }
+
+    #[test]
+    fn self_pairs_are_never_reported() {
+        let g = two_communities();
+        let overlap_a = NodeSet::new("P", [NodeId(0), NodeId(1), NodeId(2)]);
+        let overlap_b = NodeSet::new("Q", [NodeId(1), NodeId(2), NodeId(3)]);
+        let m = PersonalizedPageRank::new(0.8, 6).unwrap();
+        let ctx = &mut QueryCtx::one_shot();
+        let pairs = bbj::top_k(&g, &serial(&m), &overlap_a, &overlap_b, 100, ctx).pairs;
+        assert!(pairs.iter().all(|p| p.left != p.right));
+        // 3·3 ordered pairs minus the 2 self pairs
+        assert_eq!(pairs.len(), 7);
+    }
+
+    #[test]
+    fn oversized_k_returns_every_pair() {
+        let g = two_communities();
+        let (a, _, c) = sets();
+        let m = DhtMeasure::paper_default();
+        let pairs = bbj::top_k(&g, &serial(&m), &a, &c, 10_000, &mut QueryCtx::one_shot()).pairs;
+        assert_eq!(pairs.len(), a.len() * c.len());
+        // sorted descending
+        for w in pairs.windows(2) {
+            assert!(w[0].score >= w[1].score - 1e-15);
+        }
+    }
+
+    #[test]
+    fn empty_inputs_produce_empty_results() {
+        let g = two_communities();
+        let (a, b, _) = sets();
+        let m = DhtMeasure::paper_default();
+        let (source, ctx) = (serial(&m), &mut QueryCtx::one_shot());
+        assert!(bbj::top_k(&g, &source, &a, &b, 0, ctx).pairs.is_empty());
+        assert!(bidj::top_k_x(&g, &source, &a, &b, 0, ctx).pairs.is_empty());
+        let empty = NodeSet::empty("none");
+        assert!(bbj::top_k(&g, &source, &empty, &b, 5, ctx).pairs.is_empty());
+        assert!(bidj::top_k_x(&g, &source, &a, &empty, 5, ctx)
+            .pairs
+            .is_empty());
+    }
+
+    #[test]
+    fn nway_join_matches_brute_force_enumeration() {
+        let g = two_communities();
+        let (a, b, c) = sets();
+        let m = PersonalizedPageRank::new(0.8, 8).unwrap();
+        let query = QueryGraph::chain(3);
+        let k = 5;
+        let sets3 = [a.clone(), b.clone(), c.clone()];
+        let ctx = &mut QueryCtx::one_shot();
+        let result = ap::run_over(&g, &serial(&m), &query, &sets3, Aggregate::Sum, k, ctx);
+        let result = result.unwrap();
+
+        // Brute force over all 3-tuples.
+        let mut tuples: Vec<(Vec<NodeId>, f64)> = Vec::new();
+        for x in a.iter() {
+            for y in b.iter() {
+                for z in c.iter() {
+                    if x == y || y == z || x == z {
+                        continue;
+                    }
+                    let score = m.score(&g, x, y) + m.score(&g, y, z);
+                    tuples.push((vec![x, y, z], score));
+                }
+            }
+        }
+        tuples.sort_by(|p, q| q.1.total_cmp(&p.1).then_with(|| p.0.cmp(&q.0)));
+        tuples.truncate(k);
+
+        assert_eq!(result.answers.len(), k);
+        for (answer, (nodes, score)) in result.answers.iter().zip(tuples.iter()) {
+            assert!(
+                (answer.score - score).abs() < 1e-9,
+                "score mismatch: {} vs {score}",
+                answer.score
+            );
+            assert_eq!(&answer.nodes, nodes);
+        }
+        assert_eq!(result.stats.two_way_joins, 2);
+        assert!(result.stats.pairs_pulled > 0);
+    }
+
+    #[test]
+    fn threaded_joins_are_identical_to_serial_ones() {
+        let g = two_communities();
+        let (a, b, c) = sets();
+        let ppr = PersonalizedPageRank::new(0.8, 8).unwrap();
+        let dht = DhtMeasure::paper_default();
+        let engine = WalkEngine::default();
+        let ctx = &mut QueryCtx::one_shot();
+        for threads in [2usize, 4, 0] {
+            let (ppr_threaded, dht_threaded) = (
+                MeasureSource::new(&ppr, engine, threads),
+                MeasureSource::new(&dht, engine, threads),
+            );
+            let serial_out = bbj::top_k(&g, &serial(&ppr), &a, &b, 6, ctx).pairs;
+            let parallel = bbj::top_k(&g, &ppr_threaded, &a, &b, 6, ctx).pairs;
+            assert_eq!(serial_out, parallel, "2-way, threads={threads}");
+
+            let serial_out = bidj::top_k_x(&g, &serial(&dht), &a, &c, 4, ctx).pairs;
+            let parallel = bidj::top_k_x(&g, &dht_threaded, &a, &c, 4, ctx).pairs;
+            assert_eq!(serial_out, parallel, "pruned, threads={threads}");
+
+            let query = QueryGraph::chain(3);
+            let sets3 = [a.clone(), b.clone(), c.clone()];
+            let sum = Aggregate::Sum;
+            let serial_out = ap::run_over(&g, &serial(&ppr), &query, &sets3, sum, 5, ctx).unwrap();
+            let parallel = ap::run_over(&g, &ppr_threaded, &query, &sets3, sum, 5, ctx).unwrap();
+            let (serial_out, parallel) = (serial_out.answers, parallel.answers);
+            assert_eq!(serial_out, parallel, "n-way, threads={threads}");
+        }
+    }
+
+    #[test]
+    fn session_context_joins_are_identical_and_hit_the_cache() {
+        let g = two_communities();
+        let (a, b, c) = sets();
+        let ppr = PersonalizedPageRank::new(0.8, 8).unwrap();
+        let dht = DhtMeasure::paper_default();
+        let (ppr_source, dht_source) = (serial(&ppr), serial(&dht));
+        let mut ctx = QueryCtx::with_byte_budget(1 << 20);
+        let one_shot = &mut QueryCtx::one_shot();
+        for pass in 0..2 {
+            let warm = bbj::top_k(&g, &ppr_source, &a, &b, 6, &mut ctx);
+            let cold = bbj::top_k(&g, &ppr_source, &a, &b, 6, one_shot);
+            assert_eq!(warm.pairs, cold.pairs, "pass {pass}");
+            let warm = bidj::top_k_x(&g, &dht_source, &a, &c, 4, &mut ctx);
+            let cold = bidj::top_k_x(&g, &dht_source, &a, &c, 4, one_shot);
+            assert_eq!(warm.pairs, cold.pairs, "pass {pass}");
+            let query = QueryGraph::chain(3);
+            let sets3 = [a.clone(), b.clone(), c.clone()];
+            let sum = Aggregate::Sum;
+            let warm = ap::run_over(&g, &ppr_source, &query, &sets3, sum, 5, &mut ctx).unwrap();
+            let cold = ap::run_over(&g, &ppr_source, &query, &sets3, sum, 5, one_shot).unwrap();
+            assert_eq!(warm.answers, cold.answers, "pass {pass}");
+        }
+        let stats = ctx.column_stats();
+        assert!(stats.hits > 0, "second pass must hit the cache: {stats:?}");
+        // DHT and PPR columns for the same target must not alias.
+        assert_ne!(ppr.column_signature(), dht.column_signature());
+    }
+
+    #[test]
+    fn nway_join_rejects_malformed_inputs() {
+        let g = two_communities();
+        let (a, b, _) = sets();
+        let m = DhtMeasure::paper_default();
+        let (source, ctx) = (serial(&m), &mut QueryCtx::one_shot());
+        let query = QueryGraph::chain(3);
+        // missing third node set
+        let err = ap::run_over(
+            &g,
+            &source,
+            &query,
+            &[a.clone(), b.clone()],
+            Aggregate::Min,
+            3,
+            ctx,
+        )
+        .unwrap_err();
+        assert!(matches!(err, CoreError::NodeSetCountMismatch { .. }));
+        // disconnected query graph
+        let mut disconnected = QueryGraph::new(4);
+        disconnected.add_edge(0, 1).unwrap();
+        disconnected.add_edge(2, 3).unwrap();
+        let sets4 = vec![a.clone(), b.clone(), a.clone(), b.clone()];
+        let err =
+            ap::run_over(&g, &source, &disconnected, &sets4, Aggregate::Min, 3, ctx).unwrap_err();
+        assert!(matches!(err, CoreError::DisconnectedQueryGraph));
+    }
+
+    #[test]
+    fn nway_join_returns_no_answers_at_k_zero() {
+        let g = two_communities();
+        let (a, b, c) = sets();
+        let m = PersonalizedPageRank::new(0.8, 8).unwrap();
+        let sets3 = [a, b, c];
+        for query in [QueryGraph::chain(3), QueryGraph::triangle()] {
+            let ctx = &mut QueryCtx::one_shot();
+            let out = ap::run_over(&g, &serial(&m), &query, &sets3, Aggregate::Min, 0, ctx);
+            assert!(out.unwrap().answers.is_empty());
         }
     }
 }

@@ -1271,6 +1271,66 @@ mod tests {
         assert_eq!(parse_twoway(&reply).map(|pairs| pairs.len()), Some(1));
     }
 
+    /// Every single mutation of valid `OK TWOWAY` replies: each byte XORed
+    /// with five masks (`0x80` makes the bytes invalid UTF-8, read lossily
+    /// as a wire line is), every cut, every field dropped and every field
+    /// duplicated.  A backend's reply is foreign bytes: parsing must never
+    /// panic, must accept only as many pairs as the reply declares, and
+    /// the merge must either propagate the reply or emit a line that
+    /// parses back.
+    #[test]
+    fn mangled_twoway_replies_never_panic_the_parser_or_the_merge() {
+        let bits = |score: f64| format!("{:016x}", score.to_bits());
+        let valid = [
+            "OK TWOWAY 0".to_string(),
+            format!("OK TWOWAY 1 1:2:{}", bits(0.5)),
+            format!(
+                "OK TWOWAY 3 3:8:{} 5:8:{} 4294967295:0:{}",
+                bits(0.75),
+                bits(-1.25),
+                bits(f64::NAN)
+            ),
+        ];
+        let other = format!("OK TWOWAY 1 9:9:{}", bits(0.25));
+        let mut mangled = Vec::new();
+        for reply in &valid {
+            let bytes = reply.as_bytes();
+            for at in 0..bytes.len() {
+                for mask in [0x01u8, 0x10, 0x20, 0x40, 0x80] {
+                    let mut flipped = bytes.to_vec();
+                    flipped[at] ^= mask;
+                    mangled.push(String::from_utf8_lossy(&flipped).into_owned());
+                }
+            }
+            mangled.extend((0..bytes.len()).map(|cut| reply[..cut].to_string()));
+            let fields: Vec<&str> = reply.split(' ').collect();
+            for at in 0..fields.len() {
+                let mut dropped = fields.clone();
+                dropped.remove(at);
+                mangled.push(dropped.join(" "));
+                let mut duplicated = fields.clone();
+                duplicated.insert(at, fields[at]);
+                mangled.push(duplicated.join(" "));
+            }
+        }
+        for reply in &mangled {
+            if let Some(pairs) = parse_twoway(reply) {
+                let declared = reply.split_whitespace().nth(2).and_then(|n| n.parse().ok());
+                assert_eq!(Some(pairs.len()), declared, "{reply:?}");
+            }
+            for replies in [
+                [reply.clone(), other.clone()],
+                [other.clone(), reply.clone()],
+            ] {
+                let (merged, _) = merge_twoway(&replies, 2);
+                assert!(
+                    merged == *reply || parse_twoway(&merged).is_some(),
+                    "{reply:?} merged into {merged:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn classification_only_fans_out_backward_family_two_way_lines() {
         let fan = |line: &str| matches!(classify(line, 10, true), Route::FanOut { .. });

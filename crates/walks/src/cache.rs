@@ -623,10 +623,10 @@ impl QueryCtx {
         )
     }
 
-    /// A context with all caching disabled — the free-function join
-    /// wrappers use this, so a one-shot call behaves exactly like the
-    /// stateless implementation it replaced.  It holds no store and
-    /// allocates nothing.
+    /// A context with all caching disabled — what a caller with no session
+    /// hands a join, so a one-shot call behaves exactly like the stateless
+    /// implementation it replaced.  It holds no store and allocates
+    /// nothing.
     pub fn one_shot() -> Self {
         QueryCtx::default()
     }

@@ -38,19 +38,21 @@ fn main() {
     // Compare PJ and PJ-i: identical answers, PJ-i does less work when the
     // rank join needs pairs beyond the initial top-m lists.
     let pj = NWayAlgorithm::PartialJoin { m: 10 }
-        .run(
+        .run_with_ctx(
             &cg.graph,
             &config,
             &query,
             &[manufacturers.clone(), retailers.clone(), customers.clone()],
+            &mut QueryCtx::one_shot(),
         )
         .expect("chain query is valid");
     let pji = NWayAlgorithm::IncrementalPartialJoin { m: 10 }
-        .run(
+        .run_with_ctx(
             &cg.graph,
             &config,
             &query,
             &[manufacturers, retailers, customers],
+            &mut QueryCtx::one_shot(),
         )
         .expect("chain query is valid");
 

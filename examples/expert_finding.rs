@@ -28,11 +28,12 @@ fn main() {
     let query = QueryGraph::triangle();
     let config = NWayConfig::paper_default().with_k(5);
     let result = NWayAlgorithm::IncrementalPartialJoin { m: 50 }
-        .run(
+        .run_with_ctx(
             &dataset.graph,
             &config,
             &query,
             &[db.clone(), ai.clone(), sys.clone()],
+            &mut QueryCtx::one_shot(),
         )
         .expect("triangle query over DBLP areas is valid");
 
@@ -53,7 +54,13 @@ fn main() {
     // expert, not to each other, so the ranking changes.
     let chain = QueryGraph::chain(3);
     let chain_result = NWayAlgorithm::IncrementalPartialJoin { m: 50 }
-        .run(&dataset.graph, &config, &chain, &[ai, db, sys])
+        .run_with_ctx(
+            &dataset.graph,
+            &config,
+            &chain,
+            &[ai, db, sys],
+            &mut QueryCtx::one_shot(),
+        )
         .expect("chain query over DBLP areas is valid");
     println!("\ntop-5 (AI, DB, SYS) triples — chain query graph:");
     for (rank, answer) in chain_result.answers.iter().enumerate() {

@@ -55,7 +55,14 @@ fn main() {
     // The same ranking drives friend suggestion: the top-k join returns the
     // most likely missing links first.
     let config = TwoWayConfig::paper_default();
-    let top = TwoWayAlgorithm::BackwardIdjY.top_k(&split.test_graph, &config, &p, &q, 5);
+    let top = TwoWayAlgorithm::BackwardIdjY.top_k_with_ctx(
+        &split.test_graph,
+        &config,
+        &p,
+        &q,
+        5,
+        &mut QueryCtx::one_shot(),
+    );
     println!("\ntop-5 predicted interactions:");
     for pair in &top.pairs {
         let held_out = split.removed.iter().any(|&(a, b)| {

@@ -5,14 +5,17 @@
 //!
 //! Run with: `cargo run --release --example measure_comparison`
 
+use dht_core::twoway::bbj;
+use dht_core::QueryCtx;
 use dht_datasets::split::link_prediction_split;
 use dht_datasets::yeast::{self, YeastConfig};
 use dht_datasets::Scale;
 use dht_eval::linkpred;
 use dht_measures::{
-    measure_two_way_top_k, DhtMeasure, KatzIndex, PathSim, PersonalizedPageRank, ProximityMeasure,
-    SimRank, TruncatedHittingTime,
+    DhtMeasure, KatzIndex, MeasureSource, PathSim, PersonalizedPageRank, ProximityMeasure, SimRank,
+    TruncatedHittingTime,
 };
+use dht_walks::WalkEngine;
 
 fn main() {
     let dataset = yeast::generate(&YeastConfig::for_scale(Scale::Tiny));
@@ -68,11 +71,14 @@ fn main() {
         );
     }
 
-    // The generic top-k join shows how the rankings differ qualitatively:
-    // DHT/PPR favour strongly connected hubs, PathSim favours balanced pairs.
+    // The B-BJ join DHT runs, over each measure's columns, shows how the
+    // rankings differ qualitatively: DHT/PPR favour strongly connected hubs,
+    // PathSim favours balanced pairs.
     println!("\ntop-3 pairs per measure (on the full graph):");
     for (name, measure) in &measures {
-        let pairs = measure_two_way_top_k(&dataset.graph, *measure, &p, &q, 3);
+        let source = MeasureSource::new(*measure, WalkEngine::default(), 1);
+        let ctx = &mut QueryCtx::one_shot();
+        let pairs = bbj::top_k(&dataset.graph, &source, &p, &q, 3, ctx).pairs;
         let rendered: Vec<String> = pairs
             .iter()
             .map(|pair| {

@@ -44,7 +44,13 @@ fn main() {
     let query = QueryGraph::star(6);
     let config = NWayConfig::paper_default().with_k(3);
     let result = NWayAlgorithm::IncrementalPartialJoin { m: 30 }
-        .run(&dataset.graph, &config, &query, &sets)
+        .run_with_ctx(
+            &dataset.graph,
+            &config,
+            &query,
+            &sets,
+            &mut QueryCtx::one_shot(),
+        )
         .expect("star query over interest groups is valid");
 
     println!("\ntop-3 multi-interest groups (one member per community):");

@@ -100,8 +100,14 @@ fn main() {
         // DHT from the candidate towards the current query: "how quickly does
         // a random surfer starting at the suggestion reach what the user just
         // searched for".
-        let output =
-            TwoWayAlgorithm::BackwardIdjY.top_k(&graph, &config, &candidates, &current_set, 4);
+        let output = TwoWayAlgorithm::BackwardIdjY.top_k_with_ctx(
+            &graph,
+            &config,
+            &candidates,
+            &current_set,
+            4,
+            &mut QueryCtx::one_shot(),
+        );
 
         println!("suggestions for '{current}':");
         for (rank, pair) in output.pairs.iter().enumerate() {
@@ -130,11 +136,12 @@ fn main() {
         .with_k(5)
         .with_aggregate(Aggregate::Min);
     let result = NWayAlgorithm::IncrementalPartialJoin { m: 20 }
-        .run(
+        .run_with_ctx(
             &graph,
             &config3,
             &query_graph,
             &[current_set, other_queries, urls],
+            &mut QueryCtx::one_shot(),
         )
         .expect("valid 3-way join");
 

@@ -44,7 +44,14 @@ fn main() {
     let soccer = NodeSet::new("soccer", [people[0], people[1], people[2]]);
     let hiking = NodeSet::new("hiking", [people[5], people[6], people[7]]);
     let config = TwoWayConfig::paper_default();
-    let top = TwoWayAlgorithm::BackwardIdjY.top_k(&graph, &config, &soccer, &hiking, 3);
+    let top = TwoWayAlgorithm::BackwardIdjY.top_k_with_ctx(
+        &graph,
+        &config,
+        &soccer,
+        &hiking,
+        3,
+        &mut QueryCtx::one_shot(),
+    );
     println!("\ntop-3 soccer → hiking friend suggestions (DHT_λ, λ = 0.2):");
     for pair in &top.pairs {
         println!(
@@ -60,7 +67,13 @@ fn main() {
     let query = QueryGraph::triangle();
     let nway = NWayConfig::paper_default().with_k(3);
     let result = NWayAlgorithm::IncrementalPartialJoin { m: 10 }
-        .run(&graph, &nway, &query, &[soccer, swimmers, hiking])
+        .run_with_ctx(
+            &graph,
+            &nway,
+            &query,
+            &[soccer, swimmers, hiking],
+            &mut QueryCtx::one_shot(),
+        )
         .expect("query graph and node sets are valid");
     println!("\ntop-3 (soccer, swimming, hiking) trios by MIN aggregate:");
     for answer in &result.answers {

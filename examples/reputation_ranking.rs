@@ -66,12 +66,13 @@ fn main() {
         honest_ids.iter().chain(sybil_ids.iter()).copied(),
     );
     let config = TwoWayConfig::paper_default();
-    let ranking = TwoWayAlgorithm::BackwardIdjY.top_k(
+    let ranking = TwoWayAlgorithm::BackwardIdjY.top_k_with_ctx(
         &graph,
         &config,
         &seed_set,
         &candidates,
         candidates.len() * seed_set.len(),
+        &mut QueryCtx::one_shot(),
     );
 
     // Aggregate per candidate: best score over the two seeds.

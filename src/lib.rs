@@ -56,9 +56,13 @@
 //! let soccer = NodeSet::new("soccer", [NodeId(0), NodeId(1), NodeId(2)]);
 //! let basket = NodeSet::new("basketball", [NodeId(3), NodeId(4), NodeId(5)]);
 //!
-//! // Top-3 2-way join with the paper's best algorithm (B-IDJ-Y).
+//! // Top-3 2-way join with the paper's best algorithm (B-IDJ-Y).  Every
+//! // join takes a context last: a one-shot one holds no cache, a
+//! // `Session`'s keeps columns warm across queries.
 //! let config = TwoWayConfig::paper_default();
-//! let result = TwoWayAlgorithm::BackwardIdjY.top_k(&graph, &config, &soccer, &basket, 3);
+//! let ctx = &mut QueryCtx::one_shot();
+//! let result = TwoWayAlgorithm::BackwardIdjY
+//!     .top_k_with_ctx(&graph, &config, &soccer, &basket, 3, ctx);
 //! assert_eq!(result.pairs.len(), 3);
 //! assert!(result.pairs[0].score >= result.pairs[1].score);
 //! ```
@@ -73,8 +77,9 @@
 //! );
 //! let query = QueryGraph::triangle();
 //! let config = NWayConfig::paper_default().with_k(5);
+//! let ctx = &mut QueryCtx::one_shot();
 //! let result = NWayAlgorithm::IncrementalPartialJoin { m: 20 }
-//!     .run(&cg.graph, &config, &query, &cg.communities)
+//!     .run_with_ctx(&cg.graph, &config, &query, &cg.communities, ctx)
 //!     .unwrap();
 //! assert!(result.answers.len() <= 5);
 //! for answer in &result.answers {

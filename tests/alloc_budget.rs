@@ -17,9 +17,9 @@
 //!   every pull and each query edge copied the `Y_l⁺` table; it makes 344
 //!   of 47 224 bytes now.
 //!
-//! Opening a context costs nothing either: a one-shot context (which every
-//! free-function join wrapper builds per call), its fork and a session of a
-//! default (shared-cache) engine each allocate nothing.
+//! Opening a context costs nothing either: a one-shot context (which a
+//! caller with no session passes to every join), its fork and a session of
+//! a default (shared-cache) engine each allocate nothing.
 //!
 //! And the operands of a request cost nothing per member: a [`NodeSet`] is
 //! a shared handle, so cloning one allocates nothing, parsing a query line

@@ -108,8 +108,8 @@ proptest! {
         let left = NodeSet::new("L", (0..half as u32).map(NodeId));
         let right = NodeSet::new("R", (half as u32..n as u32).map(NodeId));
         let config = TwoWayConfig::paper_default();
-        let ours = TwoWayAlgorithm::BackwardIdjY.top_k(&original, &config, &left, &right, 5);
-        let theirs = TwoWayAlgorithm::BackwardIdjY.top_k(&loaded, &config, &left, &right, 5);
+        let ours = TwoWayAlgorithm::BackwardIdjY.top_k_with_ctx(&original, &config, &left, &right, 5, &mut QueryCtx::one_shot());
+        let theirs = TwoWayAlgorithm::BackwardIdjY.top_k_with_ctx(&loaded, &config, &left, &right, 5, &mut QueryCtx::one_shot());
         prop_assert_eq!(ours.pairs, theirs.pairs);
     }
 

@@ -127,7 +127,7 @@ proptest! {
                         dht_nway::engine::EngineOutput::TwoWay(out),
                     ) => {
                         let algorithm = q.algorithm.fixed().expect("stream pins every algorithm");
-                        let cold = algorithm.top_k(&graph, &two_way_config, &q.p, &q.q, q.k);
+                        let cold = algorithm.top_k_with_ctx(&graph, &two_way_config, &q.p, &q.q, q.k, &mut QueryCtx::one_shot());
                         prop_assert_eq!(out.pairs.len(), cold.pairs.len(),
                             "query {} sessions={}", index, sessions);
                         for (a, b) in out.pairs.iter().zip(cold.pairs.iter()) {
@@ -149,7 +149,7 @@ proptest! {
                             .with_k(q.k);
                         let algorithm = q.algorithm.fixed().expect("stream pins every algorithm");
                         let cold = algorithm
-                            .run(&graph, &config, &q.query, &q.sets)
+                            .run_with_ctx(&graph, &config, &q.query, &q.sets, &mut QueryCtx::one_shot())
                             .expect("valid query");
                         prop_assert_eq!(out.answers.len(), cold.answers.len(),
                             "query {} sessions={}", index, sessions);

@@ -20,7 +20,13 @@ fn dblp_expert_finding_returns_ranked_cross_area_triples() {
         .collect();
     let config = NWayConfig::paper_default().with_k(5);
     let result = NWayAlgorithm::IncrementalPartialJoin { m: 50 }
-        .run(&dataset.graph, &config, &QueryGraph::triangle(), &sets)
+        .run_with_ctx(
+            &dataset.graph,
+            &config,
+            &QueryGraph::triangle(),
+            &sets,
+            &mut QueryCtx::one_shot(),
+        )
         .unwrap();
     assert!(
         !result.answers.is_empty(),
@@ -71,7 +77,13 @@ fn youtube_star_query_runs_across_interest_groups() {
         .collect();
     let config = NWayConfig::paper_default().with_k(4);
     let result = NWayAlgorithm::IncrementalPartialJoin { m: 25 }
-        .run(&dataset.graph, &config, &QueryGraph::star(4), &sets)
+        .run_with_ctx(
+            &dataset.graph,
+            &config,
+            &QueryGraph::star(4),
+            &sets,
+            &mut QueryCtx::one_shot(),
+        )
         .unwrap();
     // answers may be fewer than k on a tiny graph, but each one must be a
     // valid assignment drawn from the supplied groups
@@ -92,7 +104,13 @@ fn both_dht_variants_run_the_full_pipeline() {
         let d = params.depth_for_epsilon(1e-6).unwrap();
         let config = NWayConfig::new(params, d, Aggregate::Min, 5);
         let result = NWayAlgorithm::IncrementalPartialJoin { m: 10 }
-            .run(&dataset.graph, &config, &QueryGraph::chain(3), &query_sets)
+            .run_with_ctx(
+                &dataset.graph,
+                &config,
+                &QueryGraph::chain(3),
+                &query_sets,
+                &mut QueryCtx::one_shot(),
+            )
             .unwrap();
         for w in result.answers.windows(2) {
             assert!(w[0].score >= w[1].score - 1e-12);

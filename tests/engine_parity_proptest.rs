@@ -141,10 +141,10 @@ proptest! {
         prop_assume!(!p.is_empty() && !q.is_empty());
         let serial = TwoWayConfig::paper_default();
         let k = 6;
-        let reference = TwoWayAlgorithm::ForwardBasic.top_k(&graph, &serial, &p, &q, k);
+        let reference = TwoWayAlgorithm::ForwardBasic.top_k_with_ctx(&graph, &serial, &p, &q, k, &mut QueryCtx::one_shot());
         for threads in parallel_thread_counts(&[2, 4, 0]) {
             let parallel = serial.with_threads(threads);
-            let out = TwoWayAlgorithm::ForwardBasic.top_k(&graph, &parallel, &p, &q, k);
+            let out = TwoWayAlgorithm::ForwardBasic.top_k_with_ctx(&graph, &parallel, &p, &q, k, &mut QueryCtx::one_shot());
             prop_assert_eq!(reference.pairs.len(), out.pairs.len());
             for (a, b) in reference.pairs.iter().zip(out.pairs.iter()) {
                 prop_assert_eq!((a.left, a.right), (b.left, b.right), "threads={}", threads);
@@ -169,9 +169,9 @@ proptest! {
             TwoWayAlgorithm::BackwardIdjY,
         ] {
             let serial = TwoWayConfig::paper_default();
-            let reference = algorithm.top_k(&graph, &serial, &p, &q, k);
+            let reference = algorithm.top_k_with_ctx(&graph, &serial, &p, &q, k, &mut QueryCtx::one_shot());
             for threads in parallel_thread_counts(&[3, 0]) {
-                let out = algorithm.top_k(&graph, &serial.with_threads(threads), &p, &q, k);
+                let out = algorithm.top_k_with_ctx(&graph, &serial.with_threads(threads), &p, &q, k, &mut QueryCtx::one_shot());
                 prop_assert_eq!(reference.pairs.len(), out.pairs.len(),
                     "{} threads={}", algorithm.name(), threads);
                 for (a, b) in reference.pairs.iter().zip(out.pairs.iter()) {
@@ -194,8 +194,8 @@ proptest! {
         for algorithm in TwoWayAlgorithm::ALL {
             let dense = TwoWayConfig::paper_default().with_engine(WalkEngine::Dense);
             let sparse = TwoWayConfig::paper_default().with_engine(WalkEngine::Sparse);
-            let a = algorithm.top_k(&graph, &dense, &p, &q, k);
-            let b = algorithm.top_k(&graph, &sparse, &p, &q, k);
+            let a = algorithm.top_k_with_ctx(&graph, &dense, &p, &q, k, &mut QueryCtx::one_shot());
+            let b = algorithm.top_k_with_ctx(&graph, &sparse, &p, &q, k, &mut QueryCtx::one_shot());
             prop_assert_eq!(a.pairs.len(), b.pairs.len(), "{}", algorithm.name());
             for (x, y) in a.pairs.iter().zip(b.pairs.iter()) {
                 prop_assert!((x.score - y.score).abs() < 1e-12,

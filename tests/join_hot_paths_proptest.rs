@@ -19,7 +19,7 @@
 
 use proptest::prelude::*;
 
-use dht_nway::core::twoway::{bbj, bidj, BoundKind, IncrementalState, TwoWayConfig};
+use dht_nway::core::twoway::{bbj, bidj, IncrementalState, TwoWayConfig};
 use dht_nway::prelude::*;
 use dht_nway::rankjoin::TopKBuffer;
 
@@ -132,7 +132,8 @@ fn streamed_ranking(
     m: usize,
 ) -> (Vec<(u32, u32, u64)>, usize) {
     let mut state = IncrementalState::new(config.params, config.d, p, q);
-    let top_m = bidj::top_k(graph, config, p, q, m, BoundKind::Y, Some(&mut state));
+    let ctx = &mut QueryCtx::one_shot();
+    let top_m = bidj::top_k_y(graph, config, p, q, m, Some(&mut state), ctx);
     let shallow = p
         .iter()
         .flat_map(|pn| q.iter().map(move |qn| (pn, qn)))
@@ -143,7 +144,7 @@ fn streamed_ranking(
         .iter()
         .map(|pr| (pr.left.0, pr.right.0, pr.score.to_bits()))
         .collect();
-    while let Some(pr) = state.next_pair(graph) {
+    while let Some(pr) = state.next_pair(graph, ctx) {
         streamed.push((pr.left.0, pr.right.0, pr.score.to_bits()));
     }
     assert_eq!(state.emitted_count(), streamed.len());
@@ -156,11 +157,18 @@ fn full_ranking(
     p: &NodeSet,
     q: &NodeSet,
 ) -> Vec<(u32, u32, u64)> {
-    bbj::all_pairs(graph, config, p, q)
-        .pairs
-        .iter()
-        .map(|pr| (pr.left.0, pr.right.0, pr.score.to_bits()))
-        .collect()
+    bbj::top_k(
+        graph,
+        config,
+        p,
+        q,
+        p.len() * q.len(),
+        &mut QueryCtx::one_shot(),
+    )
+    .pairs
+    .iter()
+    .map(|pr| (pr.left.0, pr.right.0, pr.score.to_bits()))
+    .collect()
 }
 
 proptest! {

@@ -4,11 +4,13 @@
 
 use proptest::prelude::*;
 
+use dht_nway::core::twoway::{bbj, bidj};
 use dht_nway::measures::{
-    measure_two_way_top_k, measure_two_way_top_k_pruned, DhtMeasure, IterativeMeasure, PathSim,
-    PersonalizedPageRank, ProximityMeasure, TruncatedHittingTime,
+    DhtMeasure, IterativeMeasure, MeasureSource, PathSim, PersonalizedPageRank, ProximityMeasure,
+    TruncatedHittingTime,
 };
 use dht_nway::prelude::*;
+use dht_nway::walks::WalkEngine;
 
 /// Strategy: a small directed weighted graph as an edge list over `n` nodes.
 fn small_graph_strategy() -> impl Strategy<Value = (usize, Vec<(u32, u32, f64)>)> {
@@ -129,8 +131,9 @@ proptest! {
         fn check<M: IterativeMeasure + Sync>(
             graph: &Graph, m: &M, p: &NodeSet, q: &NodeSet, k: usize,
         ) -> Result<(), TestCaseError> {
-            let basic = measure_two_way_top_k(graph, m, p, q, k);
-            let pruned = measure_two_way_top_k_pruned(graph, m, p, q, k);
+            let (source, ctx) = (MeasureSource::new(m, WalkEngine::default(), 1), &mut QueryCtx::one_shot());
+            let basic = bbj::top_k(graph, &source, p, q, k, ctx).pairs;
+            let pruned = bidj::top_k_x(graph, &source, p, q, k, ctx).pairs;
             prop_assert_eq!(basic.len(), pruned.len(), "{}: result sizes differ", m.name());
             for (a, b) in basic.iter().zip(pruned.iter()) {
                 prop_assert!((a.score - b.score).abs() < 1e-9,
@@ -151,9 +154,11 @@ proptest! {
         let (p, q) = split_sets(&graph);
         prop_assume!(!p.is_empty() && !q.is_empty());
         let k = 6;
+        let ctx = &mut QueryCtx::one_shot();
         let dedicated = TwoWayAlgorithm::BackwardIdjY
-            .top_k(&graph, &TwoWayConfig::paper_default(), &p, &q, k);
-        let generic = measure_two_way_top_k(&graph, &DhtMeasure::paper_default(), &p, &q, k);
+            .top_k_with_ctx(&graph, &TwoWayConfig::paper_default(), &p, &q, k, ctx);
+        let dht = DhtMeasure::paper_default();
+        let generic = bbj::top_k(&graph, &MeasureSource::new(&dht, WalkEngine::default(), 1), &p, &q, k, ctx).pairs;
         prop_assert_eq!(dedicated.pairs.len(), generic.len());
         for (a, b) in dedicated.pairs.iter().zip(generic.iter()) {
             prop_assert!((a.score - b.score).abs() < 1e-9,

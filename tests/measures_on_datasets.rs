@@ -3,17 +3,25 @@
 //! (community structure recovered, rankings consistent with the dedicated
 //! DHT algorithms, link prediction clearly better than chance).
 
+use dht_nway::core::multiway::ap;
+use dht_nway::core::twoway::bbj;
 use dht_nway::datasets::yeast::{self, YeastConfig};
 use dht_nway::datasets::{dblp, Scale};
 use dht_nway::eval::linkpred;
 use dht_nway::measures::{
-    measure_nway_top_k, measure_two_way_top_k, DhtMeasure, PersonalizedPageRank, ProximityMeasure,
-    SimRank, TruncatedHittingTime,
+    DhtMeasure, MeasureSource, PersonalizedPageRank, ProximityMeasure, SimRank,
+    TruncatedHittingTime,
 };
 use dht_nway::prelude::*;
+use dht_nway::walks::WalkEngine;
 
 fn yeast_tiny() -> dht_nway::datasets::Dataset {
     yeast::generate(&YeastConfig::for_scale(Scale::Tiny))
+}
+
+/// The columns of `measure` on the default walk engine, built serially.
+fn serial<M: ?Sized>(measure: &M) -> MeasureSource<'_, M> {
+    MeasureSource::new(measure, WalkEngine::default(), 1)
 }
 
 #[test]
@@ -22,9 +30,24 @@ fn generic_dht_join_matches_dedicated_join_on_yeast() {
     let sets = data.largest_sets(2);
     let (p, q) = (sets[0].clone(), sets[1].clone());
     let k = 25;
-    let dedicated =
-        TwoWayAlgorithm::BackwardIdjY.top_k(&data.graph, &TwoWayConfig::paper_default(), &p, &q, k);
-    let generic = measure_two_way_top_k(&data.graph, &DhtMeasure::paper_default(), &p, &q, k);
+    let dedicated = TwoWayAlgorithm::BackwardIdjY.top_k_with_ctx(
+        &data.graph,
+        &TwoWayConfig::paper_default(),
+        &p,
+        &q,
+        k,
+        &mut QueryCtx::one_shot(),
+    );
+    let dht = DhtMeasure::paper_default();
+    let generic = bbj::top_k(
+        &data.graph,
+        &serial(&dht),
+        &p,
+        &q,
+        k,
+        &mut QueryCtx::one_shot(),
+    );
+    let generic = generic.pairs;
     assert_eq!(dedicated.pairs.len(), generic.len());
     for (a, b) in dedicated.pairs.iter().zip(generic.iter()) {
         assert!(
@@ -53,26 +76,19 @@ fn ppr_and_ht_rank_intra_community_pairs_first_on_dblp() {
     let sets = data.largest_sets(2);
     let (p, q) = (sets[0].clone(), sets[1].clone());
 
+    let (ppr, ht) = (
+        PersonalizedPageRank::default_web(),
+        TruncatedHittingTime::new(8).unwrap(),
+    );
+    let ctx = &mut QueryCtx::one_shot();
     for (name, pairs) in [
         (
             "PPR",
-            measure_two_way_top_k(
-                &data.graph,
-                &PersonalizedPageRank::default_web(),
-                &p,
-                &q,
-                10,
-            ),
+            bbj::top_k(&data.graph, &serial(&ppr), &p, &q, 10, ctx).pairs,
         ),
         (
             "HT",
-            measure_two_way_top_k(
-                &data.graph,
-                &TruncatedHittingTime::new(8).unwrap(),
-                &p,
-                &q,
-                10,
-            ),
+            bbj::top_k(&data.graph, &serial(&ht), &p, &q, 10, ctx).pairs,
         ),
     ] {
         assert_eq!(pairs.len(), 10, "{name}: wrong result size");
@@ -99,7 +115,15 @@ fn simrank_dense_solver_handles_the_yeast_analogue() {
     let matrix = SimRank::kdd2002_default().compute(&data.graph).unwrap();
     let sets = data.largest_sets(2);
     let (p, q) = (sets[0].clone(), sets[1].clone());
-    let pairs = measure_two_way_top_k(&data.graph, &matrix, &p, &q, 15);
+    let pairs = bbj::top_k(
+        &data.graph,
+        &serial(&matrix),
+        &p,
+        &q,
+        15,
+        &mut QueryCtx::one_shot(),
+    );
+    let pairs = pairs.pairs;
     assert_eq!(pairs.len(), 15);
     for pair in &pairs {
         assert!(pair.score >= 0.0 && pair.score <= 1.0);
@@ -115,8 +139,10 @@ fn measure_nway_join_respects_query_and_aggregate_semantics() {
     let query = QueryGraph::chain(3);
     let ppr = PersonalizedPageRank::new(0.85, 6).unwrap();
 
-    let min_out = measure_nway_top_k(&data.graph, &ppr, &query, &sets, Aggregate::Min, 5).unwrap();
-    let sum_out = measure_nway_top_k(&data.graph, &ppr, &query, &sets, Aggregate::Sum, 5).unwrap();
+    let (source, ctx) = (serial(&ppr), &mut QueryCtx::one_shot());
+    let min_out = ap::run_over(&data.graph, &source, &query, &sets, Aggregate::Min, 5, ctx);
+    let sum_out = ap::run_over(&data.graph, &source, &query, &sets, Aggregate::Sum, 5, ctx);
+    let (min_out, sum_out) = (min_out.unwrap(), sum_out.unwrap());
     assert_eq!(min_out.answers.len(), 5);
     assert_eq!(sum_out.answers.len(), 5);
 

@@ -30,16 +30,16 @@ fn assert_same_scores(label: &str, reference: &NWayOutput, candidate: &NWayOutpu
 
 fn run_all(graph: &Graph, config: &NWayConfig, query: &QueryGraph, sets: &[NodeSet], label: &str) {
     let nl = NWayAlgorithm::NestedLoop
-        .run(graph, config, query, sets)
+        .run_with_ctx(graph, config, query, sets, &mut QueryCtx::one_shot())
         .unwrap();
     let ap = NWayAlgorithm::AllPairs
-        .run(graph, config, query, sets)
+        .run_with_ctx(graph, config, query, sets, &mut QueryCtx::one_shot())
         .unwrap();
     let pj = NWayAlgorithm::PartialJoin { m: 5 }
-        .run(graph, config, query, sets)
+        .run_with_ctx(graph, config, query, sets, &mut QueryCtx::one_shot())
         .unwrap();
     let pji = NWayAlgorithm::IncrementalPartialJoin { m: 5 }
-        .run(graph, config, query, sets)
+        .run_with_ctx(graph, config, query, sets, &mut QueryCtx::one_shot())
         .unwrap();
     assert_same_scores(&format!("{label}/AP"), &nl, &ap);
     assert_same_scores(&format!("{label}/PJ"), &nl, &pj);

@@ -149,7 +149,7 @@ proptest! {
                 let chosen = plan.chosen.two_way().expect("two-way plan");
 
                 // Bitwise vs the chosen algorithm's one-shot run.
-                let reference = chosen.top_k(&graph, &one_shot_config, &p, &q, k);
+                let reference = chosen.top_k_with_ctx(&graph, &one_shot_config, &p, &q, k, &mut QueryCtx::one_shot());
                 prop_assert_eq!(auto_out.pairs.len(), reference.pairs.len(),
                     "{} pass={} threads={}", chosen.name(), pass, threads);
                 for (a, b) in auto_out.pairs.iter().zip(reference.pairs.iter()) {
@@ -168,7 +168,7 @@ proptest! {
                         algorithm,
                         TwoWayAlgorithm::ForwardBasic | TwoWayAlgorithm::ForwardIdj
                     );
-                    let fixed = algorithm.top_k(&graph, &one_shot_config, &p, &q, k);
+                    let fixed = algorithm.top_k_with_ctx(&graph, &one_shot_config, &p, &q, k, &mut QueryCtx::one_shot());
                     prop_assert_eq!(auto_out.pairs.len(), fixed.pairs.len(),
                         "{} pass={} threads={}", algorithm.name(), pass, threads);
                     for (rank, (a, b)) in
@@ -230,7 +230,7 @@ proptest! {
 
                 // Bitwise vs the chosen algorithm's one-shot run.
                 let reference = chosen
-                    .run(&graph, &config, &query, &sets)
+                    .run_with_ctx(&graph, &config, &query, &sets, &mut QueryCtx::one_shot())
                     .expect("valid query");
                 prop_assert_eq!(auto_out.answers.len(), reference.answers.len(),
                     "{} pass={} threads={}", chosen.name(), pass, threads);
@@ -256,7 +256,7 @@ proptest! {
                             | NWayAlgorithm::IncrementalPartialJoin { .. }
                     );
                     let fixed = algorithm
-                        .run(&graph, &config, &query, &sets)
+                        .run_with_ctx(&graph, &config, &query, &sets, &mut QueryCtx::one_shot())
                         .expect("valid query");
                     prop_assert_eq!(auto_out.answers.len(), fixed.answers.len(),
                         "{} pass={} threads={}", algorithm.name(), pass, threads);
@@ -308,7 +308,7 @@ proptest! {
                 unreachable!();
             };
             let config = TwoWayConfig::paper_default().with_threads(threads);
-            let reference = algorithm.top_k(&graph, &config, &p, &q, k);
+            let reference = algorithm.top_k_with_ctx(&graph, &config, &p, &q, k, &mut QueryCtx::one_shot());
             prop_assert_eq!(out.pairs.len(), reference.pairs.len());
             for (a, b) in out.pairs.iter().zip(reference.pairs.iter()) {
                 prop_assert_eq!((a.left, a.right), (b.left, b.right));

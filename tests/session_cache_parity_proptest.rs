@@ -92,7 +92,7 @@ proptest! {
                     let algorithm = TwoWayAlgorithm::ALL[algo as usize];
                     let (left, right) = if swap == 1 { (&q, &p) } else { (&p, &q) };
                     let warm = session.two_way(algorithm, left, right, k);
-                    let cold = algorithm.top_k(&graph, &one_shot_config, left, right, k);
+                    let cold = algorithm.top_k_with_ctx(&graph, &one_shot_config, left, right, k, &mut QueryCtx::one_shot());
                     prop_assert_eq!(warm.pairs.len(), cold.pairs.len(),
                         "{} threads={} shared={} k={}", algorithm.name(), threads, shared, k);
                     for (a, b) in warm.pairs.iter().zip(cold.pairs.iter()) {
@@ -147,7 +147,7 @@ proptest! {
                             .n_way(algorithm, &query, &sets, Aggregate::Min, k)
                             .expect("valid query");
                         let cold = algorithm
-                            .run(&graph, &config, &query, &sets)
+                            .run_with_ctx(&graph, &config, &query, &sets, &mut QueryCtx::one_shot())
                             .expect("valid query");
                         prop_assert_eq!(warm.answers.len(), cold.answers.len(),
                             "{} threads={} shared={} pass={}",

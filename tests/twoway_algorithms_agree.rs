@@ -29,14 +29,21 @@ fn assert_same_scores(label: &str, reference: &TwoWayOutput, candidate: &TwoWayO
 }
 
 fn check_all_algorithms(graph: &Graph, config: &TwoWayConfig, p: &NodeSet, q: &NodeSet, k: usize) {
-    let reference = TwoWayAlgorithm::ForwardBasic.top_k(graph, config, p, q, k);
+    let reference = TwoWayAlgorithm::ForwardBasic.top_k_with_ctx(
+        graph,
+        config,
+        p,
+        q,
+        k,
+        &mut QueryCtx::one_shot(),
+    );
     for algorithm in [
         TwoWayAlgorithm::ForwardIdj,
         TwoWayAlgorithm::BackwardBasic,
         TwoWayAlgorithm::BackwardIdjX,
         TwoWayAlgorithm::BackwardIdjY,
     ] {
-        let out = algorithm.top_k(graph, config, p, q, k);
+        let out = algorithm.top_k_with_ctx(graph, config, p, q, k, &mut QueryCtx::one_shot());
         assert_same_scores(algorithm.name(), &reference, &out);
     }
 }
@@ -87,8 +94,22 @@ fn swapping_the_operands_changes_the_direction_of_the_scores() {
     let p = capped(dataset.node_set("DB").unwrap(), 10);
     let q = capped(dataset.node_set("AI").unwrap(), 10);
     let config = TwoWayConfig::paper_default();
-    let forward = TwoWayAlgorithm::BackwardIdjY.top_k(&dataset.graph, &config, &p, &q, 5);
-    let backward = TwoWayAlgorithm::BackwardIdjY.top_k(&dataset.graph, &config, &q, &p, 5);
+    let forward = TwoWayAlgorithm::BackwardIdjY.top_k_with_ctx(
+        &dataset.graph,
+        &config,
+        &p,
+        &q,
+        5,
+        &mut QueryCtx::one_shot(),
+    );
+    let backward = TwoWayAlgorithm::BackwardIdjY.top_k_with_ctx(
+        &dataset.graph,
+        &config,
+        &q,
+        &p,
+        5,
+        &mut QueryCtx::one_shot(),
+    );
     // Both are valid rankings; the point is simply that the API treats the
     // ordered pair of node sets as directional.
     assert_eq!(forward.pairs.len(), backward.pairs.len());

@@ -110,8 +110,8 @@ proptest! {
         let q = NodeSet::new("Q", (half..n as u32).map(NodeId));
         if p.is_empty() || q.is_empty() { return Ok(()); }
         let k = 5;
-        let reference = TwoWayAlgorithm::ForwardBasic.top_k(&graph, &config, &p, &q, k);
-        let fast = TwoWayAlgorithm::BackwardIdjY.top_k(&graph, &config, &p, &q, k);
+        let reference = TwoWayAlgorithm::ForwardBasic.top_k_with_ctx(&graph, &config, &p, &q, k, &mut QueryCtx::one_shot());
+        let fast = TwoWayAlgorithm::BackwardIdjY.top_k_with_ctx(&graph, &config, &p, &q, k, &mut QueryCtx::one_shot());
         prop_assert_eq!(reference.pairs.len(), fast.pairs.len());
         for (a, b) in reference.pairs.iter().zip(fast.pairs.iter()) {
             prop_assert!((a.score - b.score).abs() < 1e-9);
